@@ -100,17 +100,22 @@ batch:
 # on 4 ranks with the flat schedule and again under a 2-node × 2-rank
 # topology (which prints the intra/inter meter split), then diff the two
 # solution files: aggregation must not change a single bit of the answer.
+# The pair runs twice: pipelined CG at fp64, and classic CG at fp32
+# (float32 halo wire format through the relay, FP64 refinement).
 nodeaware:
 	$(GO) run ./cmd/matgen -name consph-sim -o /tmp/fsaicomm-nodeaware.mtx
-	$(GO) run ./cmd/mmsolve -matrix /tmp/fsaicomm-nodeaware.mtx -ranks 4 \
-		-cg pipelined -out /tmp/fsaicomm-nodeaware-flat.txt
-	$(GO) run ./cmd/mmsolve -matrix /tmp/fsaicomm-nodeaware.mtx -ranks 4 \
-		-cg pipelined -nodes 2 -ranks-per-node 2 -out /tmp/fsaicomm-nodeaware-nap.txt
-	@if cmp -s /tmp/fsaicomm-nodeaware-flat.txt /tmp/fsaicomm-nodeaware-nap.txt; then \
-		echo "node-aware smoke test passed: solutions bit-identical"; \
-	else \
-		echo "node-aware smoke test failed: solutions differ"; exit 1; \
-	fi
+	@set -e; for cfg in "pipelined fp64" "classic fp32"; do \
+		set -- $$cfg; \
+		$(GO) run ./cmd/mmsolve -matrix /tmp/fsaicomm-nodeaware.mtx -ranks 4 \
+			-cg $$1 -precision $$2 -out /tmp/fsaicomm-nodeaware-flat.txt; \
+		$(GO) run ./cmd/mmsolve -matrix /tmp/fsaicomm-nodeaware.mtx -ranks 4 \
+			-cg $$1 -precision $$2 -nodes 2 -ranks-per-node 2 -out /tmp/fsaicomm-nodeaware-nap.txt; \
+		if cmp -s /tmp/fsaicomm-nodeaware-flat.txt /tmp/fsaicomm-nodeaware-nap.txt; then \
+			echo "node-aware smoke test passed ($$1 $$2): solutions bit-identical"; \
+		else \
+			echo "node-aware smoke test failed ($$1 $$2): solutions differ"; exit 1; \
+		fi; \
+	done
 	@rm -f /tmp/fsaicomm-nodeaware.mtx /tmp/fsaicomm-nodeaware-flat.txt /tmp/fsaicomm-nodeaware-nap.txt
 
 # spai: nonsymmetric-axis smoke test — generate the upwind

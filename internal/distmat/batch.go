@@ -51,46 +51,8 @@ func (v *BatchDistVec) Local() []float64 { return v.Ext[:v.NLocal*v.K] }
 // width is fixed at k, which keeps the schedule independent of the
 // convergence mask and the per-neighbour message count exactly 1.
 func (p *HaloPlan) ExchangeBatch(c *simmpi.Comm, xExt []float64, nLocal, k int) {
-	if p.f32 {
-		p.exchangeBatch32(c, xExt, nLocal, k)
-		return
-	}
-	if p.napActive() {
-		// Node-aware and k-wide batching compose: the aggregated envelope is
-		// width-agnostic, so a batch still costs one message per neighbour
-		// (now per node pair for the inter-node leg) carrying k columns.
-		p.napPostSends(c, xExt, k, false)
-		p.napCompleteRecvs(c, xExt, nLocal, k)
-		return
-	}
-	if p.sendBuf == nil {
-		p.sendBuf = make([][]float64, len(p.SendPeers))
-	}
-	for _, peer := range p.sendPeerIDs {
-		list := p.SendPeers[peer]
-		need := len(list) * k
-		buf := p.sendBuf[peer]
-		if cap(buf) < need {
-			buf = make([]float64, need)
-		}
-		buf = buf[:need]
-		p.sendBuf[peer] = buf
-		for m, li := range list {
-			copy(buf[m*k:(m+1)*k], xExt[li*k:li*k+k])
-		}
-		c.SendFloats(peer, tagHaloData, buf)
-	}
-	for _, peer := range p.recvPeerIDs {
-		slots := p.RecvPeers[peer]
-		vals := c.RecvFloats(peer, tagHaloData)
-		if len(vals) != len(slots)*k {
-			panic(fmt.Sprintf("distmat: rank %d batched halo update from %d: got %d values, want %d",
-				c.Rank(), peer, len(vals), len(slots)*k))
-		}
-		for m, s := range slots {
-			copy(xExt[(nLocal+s)*k:(nLocal+s)*k+k], vals[m*k:(m+1)*k])
-		}
-	}
+	p.post(c, xExt, k, false)
+	p.complete(c, xExt, nLocal, k)
 }
 
 // MulMat computes the local block of Y = A·X for k interleaved columns,

@@ -616,36 +616,63 @@ func TestNewOpWithOverlap(t *testing.T) {
 }
 
 // PostSends reuses its gather buffers: repeated halo updates through the
-// split schedule allocate nothing on the send side and keep producing the
-// same values.
+// split schedule keep producing the same values, at both wire widths, for
+// the blocking, nonblocking and k = 3 batched products, on both routings.
 func TestPostSendsBufferReuse(t *testing.T) {
 	a := grid2d(8, 8)
 	n := a.Rows
-	l := NewUniformLayout(n, 2)
+	const nranks, k = 4, 3
+	topo := simmpi.Topology{Nodes: 2, RanksPerNode: 2}
+	l := NewUniformLayout(n, nranks)
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = float64(i + 1)
 	}
 	want := make([]float64, n)
 	a.MulVec(x, want)
-	got := make([]float64, n)
-	_, err := simmpi.Run(2, testTimeout, func(c *simmpi.Comm) error {
-		lo, hi := l.Range(c.Rank())
-		op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi), WithOverlap())
-		scratch := NewDistVec(op.LZ)
-		y := make([]float64, hi-lo)
-		for round := 0; round < 3; round++ {
-			op.Overlap().MulVecOverlap(c, x[lo:hi], y, scratch, nil)
+	xb := make([]float64, n*k)
+	for i := range x {
+		for j := 0; j < k; j++ {
+			xb[i*k+j] = x[i]
 		}
-		copy(got[lo:hi], y)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
-			t.Fatalf("y[%d] = %v, want %v", i, got[i], want[i])
+	for _, f32 := range []bool{false, true} {
+		for _, aware := range []bool{false, true} {
+			got := make([][3]float64, n)
+			_, err := simmpi.RunTopo(nranks, testTimeout, topo, func(c *simmpi.Comm) error {
+				lo, hi := l.Range(c.Rank())
+				op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi), WithOverlap())
+				op.SetF32(f32)
+				op.Plan.SetNodeAware(aware)
+				scratch := NewDistVec(op.LZ)
+				bscratch := NewBatchDistVec(op.LZ, k)
+				y := make([]float64, hi-lo)
+				ya := make([]float64, hi-lo)
+				yb := make([]float64, (hi-lo)*k)
+				for round := 0; round < 3; round++ {
+					op.Overlap().MulVecOverlap(c, x[lo:hi], y, scratch, nil)
+					op.Overlap().MulVecOverlapAsync(c, x[lo:hi], ya, scratch, nil)
+					op.MulMat(c, xb[lo*k:hi*k], yb, k, nil, bscratch, nil)
+				}
+				for i := range y {
+					got[lo+i] = [3]float64{y[i], ya[i], yb[i*k+k-1]}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tol := 1e-12
+			if f32 {
+				tol = 1e-6
+			}
+			for i := range want {
+				for kind, g := range got[i] {
+					if math.Abs(g-want[i]) > tol*(1+math.Abs(want[i])) {
+						t.Fatalf("f32=%v aware=%v kind %d: y[%d] = %v, want %v", f32, aware, kind, i, g, want[i])
+					}
+				}
+			}
 		}
 	}
 }

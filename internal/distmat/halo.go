@@ -117,44 +117,30 @@ type HaloPlan struct {
 	SendPeers                [][]int // [peer] -> local row indices (0-based within rank) to send
 	RecvPeers                [][]int // [peer] -> halo slot indices to fill
 	sendPeerIDs, recvPeerIDs []int
-	// Node-aware routing state (see nodeaware.go). rank is the owning rank,
-	// topo the two-level topology the plan was built under, and needCounts
-	// the full size×size need matrix (needCounts[d*size+s] = values rank d
-	// receives from rank s per exchange) captured for free from
-	// BuildHaloPlan's allgather — everything the NAP relay schedule is
-	// derived from, with zero extra communication. nodeAware selects the
-	// aggregated protocol; it defaults to on whenever the topology has
-	// multi-rank nodes and can be toggled with SetNodeAware for flat-plan
-	// baselines under the same topology.
+	// Routing state (see nodeaware.go). rank is the owning rank, topo the
+	// two-level topology the plan was built under, and needCounts the full
+	// size×size need matrix (needCounts[d*size+s] = values rank d receives
+	// from rank s per exchange) captured for free from BuildHaloPlan's
+	// allgather — everything the NAP relay schedule is derived from, with
+	// zero extra communication. nodeAware selects the aggregated protocol;
+	// it defaults to on whenever the topology has multi-rank nodes and can
+	// be toggled with SetNodeAware for flat-plan baselines under the same
+	// topology. nap is the exchange schedule derived for the current
+	// routing, built lazily on the first exchange.
 	rank       int
 	topo       simmpi.Topology
 	needCounts []int64
 	nodeAware  bool
 	nap        *napSched
-	// sendBuf holds per-peer gather buffers, lazily sized and reused across
-	// updates so the per-iteration halo exchange allocates nothing on the
-	// send side (simmpi copies payloads on Send). A plan is confined to its
-	// rank's goroutine, like the Comm it is used with.
-	sendBuf [][]float64
-	// Node-aware exchange workspaces, reused across updates like sendBuf:
-	// the up-gather buffer, the leader's combined outbound and per-member
-	// down buffers, and the received up/inter payload lists.
-	napUpBuf                []float64
-	napOutBufs, napDownBufs [][]float64
-	napUpVals, napInVals    [][]float64
 	// f32 selects the half-width wire format: halo values are narrowed to
 	// float32 at the gather, travel (and are metered) at 4 bytes each, and
-	// are widened back on scatter. The schedule is precision-independent;
-	// only the buffers below differ. See halo32.go.
+	// are widened back on scatter. The schedule is width-independent; only
+	// the workspace differs, so the plan keeps one set per width, lazily
+	// sized and reused across updates (a plan is confined to its rank's
+	// goroutine, like the Comm it is used with).
 	f32 bool
-	// Float32 twins of the exchange workspaces, used only when f32 is set.
-	// The NAP leader needs its own set because self-ups and self-downs ride
-	// the no-copy loopback queue: the payload the leader scatters IS the
-	// buffer it gathered into, so the two precisions cannot share storage.
-	sendBuf32                   [][]float32
-	napUpBuf32                  []float32
-	napOutBufs32, napDownBufs32 [][]float32
-	napUpVals32, napInVals32    [][]float32
+	w64 haloBufs[float64]
+	w32 haloBufs[float32]
 	// async is the reusable handle for StartExchange (one outstanding
 	// nonblocking exchange per plan at a time).
 	async ExchangeHandle
@@ -315,7 +301,10 @@ func (p *HaloPlan) SetNodeAware(on bool) {
 	if on && (p.topo.Flat() || p.needCounts == nil) {
 		panic("distmat: SetNodeAware(true) needs a multi-rank topology and a need matrix (build with BuildHaloPlan under a topology Comm or NewHaloPlanFromScheduleTopo)")
 	}
-	p.nodeAware = on
+	if on != p.nodeAware {
+		p.nodeAware = on
+		p.nap = nil // the routing changed: re-derive the schedule
+	}
 }
 
 // Clone returns a plan that shares this plan's immutable schedule (peer
@@ -365,148 +354,251 @@ func (p *HaloPlan) Exchange(c *simmpi.Comm, xExt []float64, nLocal int) {
 // PostSends posts this rank's halo sends from xExt (local values already
 // filled by the caller). The overlap schedule calls it before computing
 // interior rows so the values travel while local work proceeds.
-func (p *HaloPlan) PostSends(c *simmpi.Comm, xExt []float64) {
-	if p.f32 {
-		p.postSends32(c, xExt)
-		return
-	}
-	if p.napActive() {
-		p.napPostSends(c, xExt, 1, false)
-		return
-	}
-	if p.sendBuf == nil {
-		p.sendBuf = make([][]float64, len(p.SendPeers))
-	}
-	for _, peer := range p.sendPeerIDs {
-		list := p.SendPeers[peer]
-		buf := p.sendBuf[peer]
-		if buf == nil {
-			buf = make([]float64, len(list))
-			p.sendBuf[peer] = buf
-		}
-		for k, li := range list {
-			buf[k] = xExt[li]
-		}
-		c.SendFloats(peer, tagHaloData, buf)
-	}
-}
+func (p *HaloPlan) PostSends(c *simmpi.Comm, xExt []float64) { p.post(c, xExt, 1, false) }
 
 // CompleteRecvs drains this rank's halo receives into the halo slots of
 // xExt, completing an update started with PostSends.
 func (p *HaloPlan) CompleteRecvs(c *simmpi.Comm, xExt []float64, nLocal int) {
-	if p.f32 {
-		p.completeRecvs32(c, xExt, nLocal)
-		return
-	}
-	if p.napActive() {
-		p.napCompleteRecvs(c, xExt, nLocal, 1)
-		return
-	}
-	for _, peer := range p.recvPeerIDs {
-		slots := p.RecvPeers[peer]
-		vals := c.RecvFloats(peer, tagHaloData)
-		if len(vals) != len(slots) {
-			panic(fmt.Sprintf("distmat: rank %d halo update from %d: got %d values, want %d",
-				c.Rank(), peer, len(vals), len(slots)))
-		}
-		for k, s := range slots {
-			xExt[nLocal+s] = vals[k]
-		}
-	}
+	p.complete(c, xExt, nLocal, 1)
 }
 
-// StartExchange posts one halo update entirely through the nonblocking
-// primitives: receives first (so a matching send can never block on an
-// unposted receive), then sends, in the MPI_Irecv/MPI_Isend idiom. The
-// returned handle completes the update; metering is identical to
-// PostSends/CompleteRecvs byte for byte, so structural communication
-// claims are independent of which schedule a solver uses. The handle's
-// request slices are reused across calls (one outstanding exchange per
-// plan at a time, like the send buffers).
+// StartExchange starts one halo update whose sends go out through the
+// nonblocking primitive, which copies each payload at post time; the
+// returned handle's Complete drains the receives. Only the send primitive
+// differs from PostSends, so values and metering (charged at post time) are
+// identical byte for byte and structural communication claims are
+// independent of which schedule a solver uses. The handle is reused across
+// calls (one outstanding exchange per plan at a time, like the buffers).
 func (p *HaloPlan) StartExchange(c *simmpi.Comm, xExt []float64) *ExchangeHandle {
-	if p.f32 {
-		return p.startExchange32(c, xExt)
-	}
-	if p.napActive() {
-		// The aggregated protocol keeps its receives ordered per sender
-		// (ups before directs before downs), so the handle defers all of
-		// them to Complete; the sends still go out nonblocking here, which
-		// is what overlaps them with the caller's interior compute. Metering
-		// is charged at post time either way.
-		p.async.plan = p
-		p.async.nap = true
-		p.async.f32 = false
-		p.napPostSends(c, xExt, 1, true)
-		return &p.async
-	}
-	p.async.nap = false
-	p.async.f32 = false
-	if p.async.recvs == nil {
-		p.async.recvs = make([]*simmpi.Request, 0, len(p.recvPeerIDs))
-	}
+	p.post(c, xExt, 1, true)
 	p.async.plan = p
-	p.async.recvs = p.async.recvs[:0]
-	for _, peer := range p.recvPeerIDs {
-		p.async.recvs = append(p.async.recvs, c.IrecvFloats(peer, tagHaloData))
-	}
-	if p.sendBuf == nil {
-		p.sendBuf = make([][]float64, len(p.SendPeers))
-	}
-	for _, peer := range p.sendPeerIDs {
-		list := p.SendPeers[peer]
-		buf := p.sendBuf[peer]
-		if buf == nil {
-			buf = make([]float64, len(list))
-			p.sendBuf[peer] = buf
-		}
-		for k, li := range list {
-			buf[k] = xExt[li]
-		}
-		// Isend copies the payload at post time, so buf is immediately
-		// reusable; the send handle needs no explicit wait.
-		c.IsendFloats(peer, tagHaloData, buf)
-	}
 	return &p.async
 }
 
 // ExchangeHandle is an in-flight halo update started with StartExchange.
-type ExchangeHandle struct {
-	plan  *HaloPlan
-	recvs []*simmpi.Request
-	nap   bool // node-aware exchange: receives deferred to Complete
-	f32   bool // half-width exchange: complete with the float32 wait path
+type ExchangeHandle struct{ plan *HaloPlan }
+
+// Complete drains the update's receives into the halo slots of xExt.
+func (h *ExchangeHandle) Complete(c *simmpi.Comm, xExt []float64, nLocal int) {
+	h.plan.complete(c, xExt, nLocal, 1)
 }
 
-// Complete waits the posted receives and scatters their values into the
-// halo slots of xExt, finishing the update.
-func (h *ExchangeHandle) Complete(c *simmpi.Comm, xExt []float64, nLocal int) {
-	if h.nap {
-		if h.f32 {
-			h.plan.napCompleteRecvs32(c, xExt, nLocal, 1)
-			return
+// wire is the halo wire element type.
+type wire interface{ float64 | float32 }
+
+// haloBufs is the exchange workspace at one wire width: per-peer direct
+// gather buffers, the up-gather buffer, the leader's per-node outbound and
+// per-member down buffers, and the received up/inter payloads the relay
+// re-segments.
+type haloBufs[E wire] struct {
+	direct         [][]E
+	up             []E
+	out, down      [][]E
+	upVals, inVals [][]E
+}
+
+// post and complete are the halo exchange engine. One post step
+// (postSends), one complete step (completeRecvs) and the leader relay serve
+// every routing, wire width, send primitive and batch width k (k = 1 is the
+// scalar update; otherwise xExt interleaves k columns per unknown, see
+// ExchangeBatch):
+//
+//   - Routing is the plan's schedule (napSched). Flat routing is its
+//     relay-free case: every peer is a direct peer, with no up, down or
+//     relay leg. Node-aware routing sends same-node peers direct and
+//     re-routes the same per-peer payloads through the node leaders.
+//   - The wire element is float64 or float32, picked once per call from the
+//     plan's f32 flag. Values are rounded exactly once, at the gather; the
+//     relay passes them through untouched (float32 in, float32 out) and the
+//     scatter widens them back, so flat and node-aware routing deliver
+//     bitwise-equal halos at either width.
+//   - Async changes only the send primitive (Isend); receives always
+//     complete in the complete step.
+//
+// Phase ordering is pinned by the runtime's per-sender FIFO + tag-match
+// discipline: a member sends its up before its directs, the leader receives
+// ups (relay) before draining directs and sends its directs before its
+// downs, and members receive directs before their down. Leader self-ups and
+// self-downs ride the unmetered no-copy loopback in the same order, which
+// is why each width keeps its own buffers: the payload the relay reads IS
+// the buffer the leader gathered into.
+func (p *HaloPlan) post(c *simmpi.Comm, xExt []float64, k int, async bool) {
+	if p.f32 {
+		postSends(p, &p.w32, c, xExt, k, async)
+	} else {
+		postSends(p, &p.w64, c, xExt, k, async)
+	}
+}
+
+func (p *HaloPlan) complete(c *simmpi.Comm, xExt []float64, nLocal, k int) {
+	if p.f32 {
+		completeRecvs(p, &p.w32, c, xExt[nLocal*k:], k)
+	} else {
+		completeRecvs(p, &p.w64, c, xExt[nLocal*k:], k)
+	}
+}
+
+// postSends is the send half of one k-wide exchange: the up message to the
+// node leader, then the direct sends.
+func postSends[E wire](p *HaloPlan, b *haloBufs[E], c *simmpi.Comm, xExt []float64, k int, async bool) {
+	s := p.sched()
+	if s.upCount > 0 {
+		buf := resize(&b.up, s.upCount*k)
+		o := 0
+		for _, d := range s.crossSendIDs {
+			o += gather(buf[o:], xExt, p.SendPeers[d], k)
 		}
-		h.plan.napCompleteRecvs(c, xExt, nLocal, 1)
+		send(c, s.leaderRank, tagNAPUp, buf, async)
+	}
+	if b.direct == nil {
+		b.direct = make([][]E, len(p.SendPeers))
+	}
+	for _, d := range s.directSendIDs {
+		list := p.SendPeers[d]
+		buf := resize(&b.direct[d], len(list)*k)
+		gather(buf, xExt, list, k)
+		send(c, d, tagHaloData, buf, async)
+	}
+}
+
+// completeRecvs is the receive half: a leader first discharges its relay
+// duty, then every rank drains its direct receives and finally scatters its
+// down message. halo is the halo part of the extended vector.
+func completeRecvs[E wire](p *HaloPlan, b *haloBufs[E], c *simmpi.Comm, halo []float64, k int) {
+	s := p.sched()
+	if s.relay != nil {
+		relay(p, s.relay, b, c, k)
+	}
+	for _, src := range s.directRecvIDs {
+		slots := p.RecvPeers[src]
+		scatter(halo, recv[E](c, src, tagHaloData, len(slots)*k), slots, k)
+	}
+	if s.downCount > 0 {
+		vals := recv[E](c, s.leaderRank, tagNAPDown, s.downCount*k)
+		for _, src := range s.crossRecvIDs {
+			slots := p.RecvPeers[src]
+			scatter(halo, vals, slots, k)
+			vals = vals[len(slots)*k:]
+		}
+	}
+}
+
+// relay runs a node leader's middle phase: collect the members' ups, send
+// one combined message per peer node, receive the peer nodes' combined
+// messages and hand every owed member its down message.
+func relay[E wire](p *HaloPlan, r *napRelay, b *haloBufs[E], c *simmpi.Comm, k int) {
+	if b.upVals == nil {
+		b.upVals = make([][]E, len(r.upMembers))
+		b.inVals = make([][]E, len(r.inNodes))
+		b.out = make([][]E, len(r.outNodes))
+		b.down = make([][]E, len(r.downMembers))
+	}
+	for i, m := range r.upMembers {
+		b.upVals[i] = recv[E](c, m, tagNAPUp, r.upCounts[i]*k)
+	}
+	for i, node := range r.outNodes {
+		buf := resize(&b.out[i], r.outCounts[i]*k)
+		assemble(buf, b.upVals, r.outSegs[i], k)
+		send(c, p.topo.Leader(node), tagNAPInter, buf, false)
+	}
+	for i, node := range r.inNodes {
+		b.inVals[i] = recv[E](c, p.topo.Leader(node), tagNAPInter, r.inCounts[i]*k)
+	}
+	for i, m := range r.downMembers {
+		buf := resize(&b.down[i], r.downCounts[i]*k)
+		assemble(buf, b.inVals, r.downSegs[i], k)
+		send(c, m, tagNAPDown, buf, false)
+	}
+}
+
+// resize resizes *store to n values, reusing capacity across exchanges.
+func resize[E wire](store *[]E, n int) []E {
+	if cap(*store) < n {
+		*store = make([]E, n)
+	}
+	*store = (*store)[:n]
+	return *store
+}
+
+// gather copies the k-wide rows list of xExt into buf (narrowing them to
+// the wire width) and returns the number of values written. The k = 1 case
+// keeps the direct-index loop of the scalar hot path.
+func gather[E wire](buf []E, xExt []float64, list []int, k int) int {
+	if k == 1 {
+		for m, li := range list {
+			buf[m] = E(xExt[li])
+		}
+		return len(list)
+	}
+	for m, li := range list {
+		dst := buf[m*k : m*k+k]
+		for j, v := range xExt[li*k : li*k+k] {
+			dst[j] = E(v)
+		}
+	}
+	return len(list) * k
+}
+
+// scatter widens the k-wide received values into the given halo slots.
+func scatter[E wire](halo []float64, vals []E, slots []int, k int) {
+	if k == 1 {
+		for m, s := range slots {
+			halo[s] = float64(vals[m])
+		}
 		return
 	}
-	if h.f32 {
-		h.complete32(c, xExt, nLocal)
-		return
-	}
-	p := h.plan
-	for i, peer := range p.recvPeerIDs {
-		slots := p.RecvPeers[peer]
-		vals, err := h.recvs[i].Wait()
-		if err != nil {
-			panic(fmt.Sprintf("distmat: rank %d halo update from %d: %v", c.Rank(), peer, err))
-		}
-		if len(vals) != len(slots) {
-			panic(fmt.Sprintf("distmat: rank %d halo update from %d: got %d values, want %d",
-				c.Rank(), peer, len(vals), len(slots)))
-		}
-		for k, s := range slots {
-			xExt[nLocal+s] = vals[k]
+	for m, s := range slots {
+		dst := halo[s*k : s*k+k]
+		for j, v := range vals[m*k : m*k+k] {
+			dst[j] = float64(v)
 		}
 	}
+}
+
+// assemble concatenates the k-wide segments of the source payloads into buf.
+func assemble[E wire](buf []E, src [][]E, segs []napSeg, k int) {
+	o := 0
+	for _, sg := range segs {
+		o += copy(buf[o:], src[sg.buf][sg.off*k:(sg.off+sg.n)*k])
+	}
+}
+
+// send posts buf to dst at its wire width, blocking or through the
+// nonblocking primitive. Both copy the payload (self-sends excepted, which
+// the loopback hands over as is), so a gather buffer is reusable at once
+// and the send handle needs no wait.
+func send[E wire](c *simmpi.Comm, dst, tag int, buf []E, async bool) {
+	switch b := any(buf).(type) {
+	case []float64:
+		if async {
+			c.IsendFloats(dst, tag, b)
+		} else {
+			c.SendFloats(dst, tag, b)
+		}
+	case []float32:
+		if async {
+			c.IsendFloats32(dst, tag, b)
+		} else {
+			c.SendFloats32(dst, tag, b)
+		}
+	}
+}
+
+// recv receives want values of the wire width from src. A payload of any
+// other size is a schedule mismatch and panics.
+func recv[E wire](c *simmpi.Comm, src, tag, want int) []E {
+	var vals []E
+	switch v := any(&vals).(type) {
+	case *[]float64:
+		*v = c.RecvFloats(src, tag)
+	case *[]float32:
+		*v = c.RecvFloats32(src, tag)
+	}
+	if len(vals) != want {
+		panic(fmt.Sprintf("distmat: rank %d halo update from %d (tag %d): got %d values, want %d",
+			c.Rank(), src, tag, len(vals), want))
+	}
+	return vals
 }
 
 // RecvGlobals returns, per peer rank, the global indices of the unknowns

@@ -16,7 +16,7 @@ package distmat
 //	       each member one message with everything it is owed (intra-node).
 //
 // Same-node halo traffic keeps the flat direct schedule (tagHaloData).
-// Received values are bit-identical to the flat exchange — the same float64
+// Received values are bit-identical to the flat exchange — the same
 // payloads land in the same halo slots, only the envelope changes — so the
 // solvers' iterates are unchanged to the last bit. Inter-node bytes are also
 // exactly the flat plan's (values are concatenated, never deduplicated);
@@ -26,39 +26,29 @@ package distmat
 // The entire relay schedule is derived locally from the plan's need-count
 // matrix (captured for free during BuildHaloPlan's allgather), so enabling
 // or disabling node awareness — or re-attaching a different topology to a
-// deserialized prepared plan — costs zero additional communication.
-//
-// Phase ordering is pinned by the runtime's per-sender FIFO + tag-match
-// discipline: a member sends its up before its intra directs, and the leader
-// receives ups (relay) before draining directs; the leader sends directs
-// (PostSends) before downs, and members receive directs before their down.
-// Leader self-ups and self-downs ride the unmetered loopback queue in the
-// same order.
-
-import (
-	"fmt"
-
-	"fsaicomm/internal/simmpi"
-)
+// deserialized prepared plan — costs zero additional communication. The
+// flat exchange is the same schedule with every peer direct and no relay;
+// one engine (halo.go) executes both.
 
 // napSeg is one contiguous run of values copied during relay assembly:
 // n values (per column) starting at value offset off of source buffer buf
 // (an index into the member-up or inter-in buffer lists).
 type napSeg struct{ buf, off, n int }
 
-// napSched is the derived node-aware schedule for one rank. It is pure
-// immutable data once built (clones share it); all mutable exchange state
-// (buffers) lives on the HaloPlan.
+// napSched is the exchange schedule of one rank under the plan's current
+// routing. Flat routing is its relay-free case: every peer is direct and
+// the up, down and relay legs are empty. It is pure immutable data once
+// built (clones share it); all mutable exchange state (buffers) lives on
+// the HaloPlan.
 type napSched struct {
-	myNode, leaderRank int
-	isLeader           bool
-	intraSendIDs       []int // same-node direct destinations, ascending
-	intraRecvIDs       []int // same-node direct sources, ascending
-	crossSendIDs       []int // other-node destinations (served via up), ascending
-	crossRecvIDs       []int // other-node sources (served via down), ascending
-	upCount            int   // values per column in this rank's up message
-	downCount          int   // values per column in this rank's down message
-	relay              *napRelay
+	leaderRank    int
+	directSendIDs []int // destinations sent to directly, ascending
+	directRecvIDs []int // sources received from directly, ascending
+	crossSendIDs  []int // other-node destinations (served via up), ascending
+	crossRecvIDs  []int // other-node sources (served via down), ascending
+	upCount       int   // values per column in this rank's up message
+	downCount     int   // values per column in this rank's down message
+	relay         *napRelay
 }
 
 // napRelay is the leader-only relay schedule: how to re-segment member up
@@ -88,9 +78,9 @@ func (p *HaloPlan) napActive() bool {
 	return p.nodeAware && !p.topo.Flat() && p.needCounts != nil
 }
 
-// napInit lazily derives the node-aware schedule. Confined to the owning
-// rank's goroutine, like every other plan mutation.
-func (p *HaloPlan) napInit() *napSched {
+// sched lazily derives the exchange schedule for the current routing.
+// Confined to the owning rank's goroutine, like every other plan mutation.
+func (p *HaloPlan) sched() *napSched {
 	if p.nap == nil {
 		p.nap = buildNapSched(p)
 	}
@@ -98,19 +88,19 @@ func (p *HaloPlan) napInit() *napSched {
 }
 
 func buildNapSched(p *HaloPlan) *napSched {
+	if !p.napActive() {
+		return &napSched{directSendIDs: p.sendPeerIDs, directRecvIDs: p.recvPeerIDs}
+	}
 	topo := p.topo
 	size := len(p.SendPeers)
 	rank := p.rank
 	need := func(d, src int) int { return int(p.needCounts[d*size+src]) }
 
-	s := &napSched{
-		myNode:     topo.NodeOf(rank),
-		leaderRank: topo.Leader(topo.NodeOf(rank)),
-	}
-	s.isLeader = rank == s.leaderRank
+	myNode := topo.NodeOf(rank)
+	s := &napSched{leaderRank: topo.Leader(myNode)}
 	for _, d := range p.sendPeerIDs {
 		if topo.SameNode(rank, d) {
-			s.intraSendIDs = append(s.intraSendIDs, d)
+			s.directSendIDs = append(s.directSendIDs, d)
 		} else {
 			s.crossSendIDs = append(s.crossSendIDs, d)
 			s.upCount += len(p.SendPeers[d])
@@ -118,13 +108,13 @@ func buildNapSched(p *HaloPlan) *napSched {
 	}
 	for _, src := range p.recvPeerIDs {
 		if topo.SameNode(rank, src) {
-			s.intraRecvIDs = append(s.intraRecvIDs, src)
+			s.directRecvIDs = append(s.directRecvIDs, src)
 		} else {
 			s.crossRecvIDs = append(s.crossRecvIDs, src)
 			s.downCount += len(p.RecvPeers[src])
 		}
 	}
-	if !s.isLeader {
+	if rank != s.leaderRank {
 		return s
 	}
 
@@ -134,11 +124,11 @@ func buildNapSched(p *HaloPlan) *napSched {
 	// and each (member, peer-node) slice of it is one contiguous segment.
 	r := &napRelay{}
 	rpn := topo.RanksPerNode
-	base := s.myNode * rpn
+	base := myNode * rpn
 	for m := base; m < base+rpn; m++ {
 		up, down := 0, 0
 		for q := 0; q < size; q++ {
-			if topo.NodeOf(q) == s.myNode {
+			if topo.NodeOf(q) == myNode {
 				continue
 			}
 			up += need(q, m)   // member m owes rank q this many values
@@ -154,7 +144,7 @@ func buildNapSched(p *HaloPlan) *napSched {
 		}
 	}
 	for b := 0; b < topo.Nodes; b++ {
-		if b == s.myNode {
+		if b == myNode {
 			continue
 		}
 		// Outbound: concat, member ascending, of each member's node-b segment.
@@ -163,7 +153,7 @@ func buildNapSched(p *HaloPlan) *napSched {
 		for mi, m := range r.upMembers {
 			off, n := 0, 0
 			for q := 0; q < size; q++ {
-				if topo.NodeOf(q) == s.myNode {
+				if topo.NodeOf(q) == myNode {
 					continue
 				}
 				if topo.NodeOf(q) < b {
@@ -218,133 +208,6 @@ func buildNapSched(p *HaloPlan) *napSched {
 	return s
 }
 
-// napBuf resizes *store to n float64s, reusing capacity across exchanges.
-func napBuf(store *[]float64, n int) []float64 {
-	if cap(*store) < n {
-		*store = make([]float64, n)
-	}
-	*store = (*store)[:n]
-	return *store
-}
-
-// napPostSends is the send half of a k-wide node-aware exchange: the up
-// message to the node leader, then the unchanged direct intra-node sends.
-// async selects the nonblocking send primitive (metering is identical
-// either way — charged at post time).
-func (p *HaloPlan) napPostSends(c *simmpi.Comm, xExt []float64, k int, async bool) {
-	s := p.napInit()
-	send := c.SendFloats
-	if async {
-		send = func(dst, tag int, data []float64) { c.IsendFloats(dst, tag, data) }
-	}
-	if s.upCount > 0 {
-		buf := napBuf(&p.napUpBuf, s.upCount*k)
-		o := 0
-		for _, d := range s.crossSendIDs {
-			for _, li := range p.SendPeers[d] {
-				copy(buf[o:o+k], xExt[li*k:li*k+k])
-				o += k
-			}
-		}
-		send(s.leaderRank, tagNAPUp, buf)
-	}
-	if p.sendBuf == nil {
-		p.sendBuf = make([][]float64, len(p.SendPeers))
-	}
-	for _, d := range s.intraSendIDs {
-		list := p.SendPeers[d]
-		buf := napBuf(&p.sendBuf[d], len(list)*k)
-		o := 0
-		for _, li := range list {
-			copy(buf[o:o+k], xExt[li*k:li*k+k])
-			o += k
-		}
-		send(d, tagHaloData, buf)
-	}
-}
-
-// napCompleteRecvs is the receive half: the leader first discharges its
-// relay duty (collect ups, exchange one combined message per peer node,
-// hand out downs), then every rank drains its direct intra receives and
-// finally scatters its down message.
-func (p *HaloPlan) napCompleteRecvs(c *simmpi.Comm, xExt []float64, nLocal, k int) {
-	s := p.napInit()
-	if s.isLeader && s.relay != nil {
-		p.napRelay(c, k)
-	}
-	for _, peer := range s.intraRecvIDs {
-		slots := p.RecvPeers[peer]
-		vals := c.RecvFloats(peer, tagHaloData)
-		if len(vals) != len(slots)*k {
-			panic(fmt.Sprintf("distmat: rank %d node-aware direct update from %d: got %d values, want %d",
-				c.Rank(), peer, len(vals), len(slots)*k))
-		}
-		for m, slot := range slots {
-			copy(xExt[(nLocal+slot)*k:(nLocal+slot)*k+k], vals[m*k:(m+1)*k])
-		}
-	}
-	if s.downCount > 0 {
-		vals := c.RecvFloats(s.leaderRank, tagNAPDown)
-		if len(vals) != s.downCount*k {
-			panic(fmt.Sprintf("distmat: rank %d node-aware down update: got %d values, want %d",
-				c.Rank(), len(vals), s.downCount*k))
-		}
-		o := 0
-		for _, src := range s.crossRecvIDs {
-			for _, slot := range p.RecvPeers[src] {
-				copy(xExt[(nLocal+slot)*k:(nLocal+slot)*k+k], vals[o:o+k])
-				o += k
-			}
-		}
-	}
-}
-
-// napRelay runs the leader's middle phase of one k-wide exchange.
-func (p *HaloPlan) napRelay(c *simmpi.Comm, k int) {
-	s := p.nap
-	r := s.relay
-	if p.napUpVals == nil {
-		p.napUpVals = make([][]float64, len(r.upMembers))
-		p.napInVals = make([][]float64, len(r.inNodes))
-		p.napOutBufs = make([][]float64, len(r.outNodes))
-		p.napDownBufs = make([][]float64, len(r.downMembers))
-	}
-	for i, m := range r.upMembers {
-		vals := c.RecvFloats(m, tagNAPUp)
-		if len(vals) != r.upCounts[i]*k {
-			panic(fmt.Sprintf("distmat: leader %d up from %d: got %d values, want %d",
-				c.Rank(), m, len(vals), r.upCounts[i]*k))
-		}
-		p.napUpVals[i] = vals
-	}
-	for bi, b := range r.outNodes {
-		buf := napBuf(&p.napOutBufs[bi], r.outCounts[bi]*k)
-		o := 0
-		for _, sg := range r.outSegs[bi] {
-			copy(buf[o:o+sg.n*k], p.napUpVals[sg.buf][sg.off*k:(sg.off+sg.n)*k])
-			o += sg.n * k
-		}
-		c.SendFloats(p.topo.Leader(b), tagNAPInter, buf)
-	}
-	for bi, b := range r.inNodes {
-		vals := c.RecvFloats(p.topo.Leader(b), tagNAPInter)
-		if len(vals) != r.inCounts[bi]*k {
-			panic(fmt.Sprintf("distmat: leader %d inter from node %d: got %d values, want %d",
-				c.Rank(), b, len(vals), r.inCounts[bi]*k))
-		}
-		p.napInVals[bi] = vals
-	}
-	for di, m := range r.downMembers {
-		buf := napBuf(&p.napDownBufs[di], r.downCounts[di]*k)
-		o := 0
-		for _, sg := range r.downSegs[di] {
-			copy(buf[o:o+sg.n*k], p.napInVals[sg.buf][sg.off*k:(sg.off+sg.n)*k])
-			o += sg.n * k
-		}
-		c.SendFloats(m, tagNAPDown, buf)
-	}
-}
-
 // ExchangeCounts returns the per-level message and byte counts ONE k-wide
 // halo exchange charges to this rank's meter, under the plan's current
 // routing (flat or node-aware). This is the structural quantity the
@@ -354,44 +217,36 @@ func (p *HaloPlan) napRelay(c *simmpi.Comm, k int) {
 // messages collapse to one per peer node (leaders only) while inter bytes
 // stay exactly the flat plan's.
 func (p *HaloPlan) ExchangeCounts(k int) (intraMsgs, intraBytes, interMsgs, interBytes int64) {
-	kk := int64(k)
-	bpv := int64(8) // bytes per value on the wire
+	bpv := int64(8 * k) // bytes per unknown on the wire
 	if p.f32 {
-		bpv = 4
+		bpv /= 2
 	}
-	if !p.napActive() {
-		for _, d := range p.sendPeerIDs {
-			b := bpv * int64(len(p.SendPeers[d])) * kk
-			if !p.topo.Flat() && p.topo.SameNode(p.rank, d) {
-				intraMsgs++
-				intraBytes += b
-			} else {
-				interMsgs++
-				interBytes += b
-			}
-		}
-		return
-	}
-	s := p.napInit()
-	for _, d := range s.intraSendIDs {
-		intraMsgs++
-		intraBytes += bpv * int64(len(p.SendPeers[d])) * kk
-	}
-	if s.upCount > 0 && p.rank != s.leaderRank {
-		intraMsgs++
-		intraBytes += bpv * int64(s.upCount) * kk
-	}
-	if s.isLeader && s.relay != nil {
-		for di, m := range s.relay.downMembers {
-			if m == p.rank {
-				continue // self-down rides the unmetered loopback
-			}
+	// One rule for every metered message: intra-node iff the topology has
+	// multi-rank nodes and the destination shares this rank's node.
+	add := func(dst, values int) {
+		if !p.topo.Flat() && p.topo.SameNode(p.rank, dst) {
 			intraMsgs++
-			intraBytes += bpv * int64(s.relay.downCounts[di]) * kk
-		}
-		for bi := range s.relay.outNodes {
+			intraBytes += bpv * int64(values)
+		} else {
 			interMsgs++
-			interBytes += bpv * int64(s.relay.outCounts[bi]) * kk
+			interBytes += bpv * int64(values)
+		}
+	}
+	s := p.sched()
+	for _, d := range s.directSendIDs {
+		add(d, len(p.SendPeers[d]))
+	}
+	if s.upCount > 0 && p.rank != s.leaderRank { // a self-up rides the unmetered loopback
+		add(s.leaderRank, s.upCount)
+	}
+	if r := s.relay; r != nil {
+		for i, m := range r.downMembers {
+			if m != p.rank { // so does a self-down
+				add(m, r.downCounts[i])
+			}
+		}
+		for i, node := range r.outNodes {
+			add(p.topo.Leader(node), r.outCounts[i])
 		}
 	}
 	return

@@ -40,295 +40,311 @@ func handPlan(rank int, topo simmpi.Topology) *HaloPlan {
 	return NewHaloPlanFromScheduleTopo(send, recv, need, rank, topo)
 }
 
-// checkHandHalo verifies one completed hand-plan exchange: halo slot i of
-// rank r (sources ascending, skipping r) must hold the sender's local 0.
-func checkHandHalo(rank int, xExt []float64) error {
+// exchangeCase is one flavour of the hand-built exchange: routing (flat or
+// node-aware), wire width (float64 or float32) and kind — a blocking k = 1
+// update, a nonblocking k = 1 update, or a blocking k-wide batch.
+type exchangeCase struct {
+	aware, f32, async bool
+	k                 int
+}
+
+func (ec exchangeCase) String() string {
+	return fmt.Sprintf("aware=%v f32=%v async=%v k=%d", ec.aware, ec.f32, ec.async, ec.k)
+}
+
+// exchangeCases spans {flat, node-aware} × {float64, float32} ×
+// {sync, async, k = 3}.
+func exchangeCases() []exchangeCase {
+	var out []exchangeCase
+	for _, aware := range []bool{false, true} {
+		for _, f32 := range []bool{false, true} {
+			out = append(out,
+				exchangeCase{aware: aware, f32: f32, k: 1},
+				exchangeCase{aware: aware, f32: f32, async: true, k: 1},
+				exchangeCase{aware: aware, f32: f32, k: 3})
+		}
+	}
+	return out
+}
+
+// handExchange runs one hand-plan exchange of flavour ec and checks the
+// halo exactly. Column j of local value i holds 100·rank + i + 1000·j — exact
+// in float32 — so the halo slot of source s (sources ascending, skipping
+// this rank) must come back as 100·s + 1000·j bit for bit. It returns the
+// plan's ExchangeCounts(k) prediction.
+func handExchange(c *simmpi.Comm, topo simmpi.Topology, ec exchangeCase) ([4]int64, error) {
+	p := handPlan(c.Rank(), topo)
+	p.SetNodeAware(ec.aware)
+	p.SetF32(ec.f32)
+	if p.NodeAware() != ec.aware || p.F32() != ec.f32 {
+		return [4]int64{}, fmt.Errorf("rank %d %v: plan reports aware=%v f32=%v", c.Rank(), ec, p.NodeAware(), p.F32())
+	}
+	k := ec.k
+	ext := make([]float64, 5*k)
+	for i := 0; i < 2; i++ {
+		for j := 0; j < k; j++ {
+			ext[i*k+j] = float64(100*c.Rank() + i + 1000*j)
+		}
+	}
+	switch {
+	case k > 1:
+		p.ExchangeBatch(c, ext, 2, k)
+	case ec.async:
+		p.StartExchange(c, ext).Complete(c, ext, 2)
+	default:
+		p.Exchange(c, ext, 2)
+	}
 	slot := 0
 	for src := 0; src < 4; src++ {
-		if src == rank {
+		if src == c.Rank() {
 			continue
 		}
-		if got, want := xExt[2+slot], float64(100*src); got != want {
-			return fmt.Errorf("rank %d halo slot %d: got %v, want %v", rank, slot, got, want)
+		for j := 0; j < k; j++ {
+			if got, want := ext[(2+slot)*k+j], float64(100*src+1000*j); got != want {
+				return [4]int64{}, fmt.Errorf("rank %d %v: halo slot %d col %d: got %v, want %v",
+					c.Rank(), ec, slot, j, got, want)
+			}
 		}
 		slot++
 	}
-	return nil
+	im, ib, em, eb := p.ExchangeCounts(k)
+	return [4]int64{im, ib, em, eb}, nil
 }
 
-// exchangeModes runs the hand-built exchange once per mode (flat schedule,
-// then node-aware) inside one world, metering each mode in isolation, and
-// returns the two world snapshots. Every rank also cross-checks its
-// ExchangeCounts prediction against nothing less than the real meter: the
-// sum over ranks of the predicted per-level counts must equal the metered
-// world totals exactly.
-func exchangeModes(topo simmpi.Topology, snaps *[2]simmpi.Snapshot, counts *[2][4][4]int64) func(c *simmpi.Comm) error {
+// exchangeModes runs the hand-built exchange once per case inside one world
+// and records, per case and rank, the metered traffic that rank sent
+// (RankSnapshot deltas — metering is charged synchronously at post time, so
+// this isolates each case on every backend) and its ExchangeCounts
+// prediction.
+func exchangeModes(topo simmpi.Topology, cases []exchangeCase, snaps [][4]simmpi.Snapshot, counts [][4][4]int64) func(c *simmpi.Comm) error {
 	return func(c *simmpi.Comm) error {
-		for mode, aware := range []bool{false, true} {
-			p := handPlan(c.Rank(), topo)
-			p.SetNodeAware(aware)
-			if p.NodeAware() != aware {
-				return fmt.Errorf("rank %d: NodeAware() = %v after SetNodeAware(%v)", c.Rank(), p.NodeAware(), aware)
-			}
-			xExt := []float64{float64(100 * c.Rank()), float64(100*c.Rank() + 1), 0, 0, 0}
+		for i, ec := range cases {
 			c.Barrier()
-			if c.Rank() == 0 {
-				c.Meter().Reset()
-			}
-			c.Barrier()
-			p.Exchange(c, xExt, 2)
-			if err := checkHandHalo(c.Rank(), xExt); err != nil {
+			before := c.Meter().RankSnapshot(c.Rank())
+			n, err := handExchange(c, topo, ec)
+			if err != nil {
 				return err
 			}
-			im, ib, em, eb := p.ExchangeCounts(1)
-			counts[mode][c.Rank()] = [4]int64{im, ib, em, eb}
-			c.Barrier()
-			if c.Rank() == 0 {
-				snaps[mode] = c.Meter().Snapshot()
-			}
+			counts[i][c.Rank()] = n
+			snaps[i][c.Rank()] = c.Meter().RankSnapshot(c.Rank()).Sub(before)
 		}
+		c.Barrier()
 		return nil
 	}
 }
 
-// checkHandAttribution pins the exact hand-computed split for both modes and
-// the structural node-aware win: inter-node messages collapse from one per
-// cross-node rank pair (8) to one per node pair and direction (2), inter
-// bytes unchanged, and ExchangeCounts agrees with the meter rank by rank.
-func checkHandAttribution(t *testing.T, snaps [2]simmpi.Snapshot, counts [2][4][4]int64) {
+// runExchangeModes runs every exchange case on a 2-node × 2-rank world over
+// the sim or tcp backend and checks, rank by rank, that ExchangeCounts
+// equals the meter. It returns the per-case world totals.
+func runExchangeModes(t *testing.T, tcp bool) ([]exchangeCase, []simmpi.Snapshot) {
 	t.Helper()
-	flat, nap := snaps[0], snaps[1]
-	if flat.IntraP2PMessages != 4 || flat.IntraP2PBytes != 32 ||
-		flat.InterP2PMessages != 8 || flat.InterP2PBytes != 64 {
-		t.Fatalf("flat split: %+v, want intra 4/32 inter 8/64", flat)
+	topo := simmpi.Topology{Nodes: 2, RanksPerNode: 2}
+	cases := exchangeCases()
+	snaps := make([][4]simmpi.Snapshot, len(cases))
+	counts := make([][4][4]int64, len(cases))
+	fn := exchangeModes(topo, cases, snaps, counts)
+	var err error
+	if tcp {
+		_, err = tcpmpi.RunLocalTopo(4, tcpmpi.Config{Timeout: testTimeout}, topo, fn)
+	} else {
+		_, err = simmpi.RunTopo(4, testTimeout, topo, fn)
 	}
-	if nap.IntraP2PMessages != 8 || nap.IntraP2PBytes != 96 ||
-		nap.InterP2PMessages != 2 || nap.InterP2PBytes != 64 {
-		t.Fatalf("node-aware split: %+v, want intra 8/96 inter 2/64", nap)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if nap.InterP2PBytes != flat.InterP2PBytes {
-		t.Fatalf("aggregation changed inter-node bytes: flat %d, node-aware %d",
-			flat.InterP2PBytes, nap.InterP2PBytes)
-	}
-	if nap.InterP2PMessages >= flat.InterP2PMessages {
-		t.Fatalf("aggregation did not reduce inter-node messages: flat %d, node-aware %d",
-			flat.InterP2PMessages, nap.InterP2PMessages)
-	}
-	for mode, snap := range snaps {
-		var im, ib, em, eb int64
+	totals := make([]simmpi.Snapshot, len(cases))
+	for i, ec := range cases {
 		for r := 0; r < 4; r++ {
-			im += counts[mode][r][0]
-			ib += counts[mode][r][1]
-			em += counts[mode][r][2]
-			eb += counts[mode][r][3]
+			rs, n := snaps[i][r], counts[i][r]
+			if n != [4]int64{rs.IntraP2PMessages, rs.IntraP2PBytes, rs.InterP2PMessages, rs.InterP2PBytes} {
+				t.Fatalf("%v rank %d: ExchangeCounts %v (intra msgs/bytes, inter msgs/bytes) disagrees with meter %+v",
+					ec, r, n, rs)
+			}
+			totals[i].IntraP2PMessages += rs.IntraP2PMessages
+			totals[i].IntraP2PBytes += rs.IntraP2PBytes
+			totals[i].InterP2PMessages += rs.InterP2PMessages
+			totals[i].InterP2PBytes += rs.InterP2PBytes
 		}
-		if im != snap.IntraP2PMessages || ib != snap.IntraP2PBytes ||
-			em != snap.InterP2PMessages || eb != snap.InterP2PBytes {
-			t.Fatalf("mode %d: ExchangeCounts sum (%d/%d intra, %d/%d inter) disagrees with meter %+v",
-				mode, im, ib, em, eb, snap)
+	}
+	return cases, totals
+}
+
+// checkHandAttribution pins the exact hand-computed split of every case.
+// At float64 and k = 1 the flat schedule sends 4 intra (32 B) and 8 inter
+// (64 B) messages; node-aware routing sends 8 intra (96 B) and collapses the
+// inter leg to one message per node pair and direction (2) carrying the
+// same 64 bytes. A k-wide batch moves k× the bytes through the same
+// messages, float32 exactly half the bytes, and the async kind is metered
+// exactly like the blocking one.
+func checkHandAttribution(t *testing.T, cases []exchangeCase, totals []simmpi.Snapshot) {
+	t.Helper()
+	for i, ec := range cases {
+		im, ib, em, eb := int64(4), int64(32), int64(8), int64(64)
+		if ec.aware {
+			im, ib, em, eb = 8, 96, 2, 64
+		}
+		scale := int64(ec.k)
+		if ec.f32 {
+			ib, eb = ib/2, eb/2
+		}
+		s := totals[i]
+		if s.IntraP2PMessages != im || s.IntraP2PBytes != ib*scale ||
+			s.InterP2PMessages != em || s.InterP2PBytes != eb*scale {
+			t.Fatalf("%v split: %+v, want intra %d/%d inter %d/%d", ec, s, im, ib*scale, em, eb*scale)
 		}
 	}
 }
 
 func TestNodeAwareHandBuiltExchangeSim(t *testing.T) {
-	topo := simmpi.Topology{Nodes: 2, RanksPerNode: 2}
-	var snaps [2]simmpi.Snapshot
-	var counts [2][4][4]int64
-	if _, err := simmpi.RunTopo(4, testTimeout, topo, exchangeModes(topo, &snaps, &counts)); err != nil {
-		t.Fatal(err)
-	}
-	checkHandAttribution(t, snaps, counts)
+	cases, totals := runExchangeModes(t, false)
+	checkHandAttribution(t, cases, totals)
 }
 
 func TestNodeAwareHandBuiltExchangeTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("socket transport in -short mode")
 	}
-	topo := simmpi.Topology{Nodes: 2, RanksPerNode: 2}
-	var snaps [2]simmpi.Snapshot
-	var counts [2][4][4]int64
-	// RunLocalTopo snapshots would only see the merged meter after the run;
-	// rank 0's live Meter() inside the fn is its own rank-row only. The sim
-	// world's shared meter is what the in-run snapshots rely on, so on the
-	// socket backend mode isolation comes from summing rank snapshots instead.
-	var rankSnaps [2][4]simmpi.Snapshot
-	fn := func(c *simmpi.Comm) error {
-		for mode, aware := range []bool{false, true} {
-			p := handPlan(c.Rank(), topo)
-			p.SetNodeAware(aware)
-			xExt := []float64{float64(100 * c.Rank()), float64(100*c.Rank() + 1), 0, 0, 0}
-			c.Barrier()
-			before := c.Meter().RankSnapshot(c.Rank())
-			p.Exchange(c, xExt, 2)
-			if err := checkHandHalo(c.Rank(), xExt); err != nil {
-				return err
-			}
-			im, ib, em, eb := p.ExchangeCounts(1)
-			counts[mode][c.Rank()] = [4]int64{im, ib, em, eb}
-			rankSnaps[mode][c.Rank()] = c.Meter().RankSnapshot(c.Rank()).Sub(before)
-			c.Barrier()
-		}
-		return nil
-	}
-	if _, err := tcpmpi.RunLocalTopo(4, tcpmpi.Config{Timeout: testTimeout}, topo, fn); err != nil {
-		t.Fatal(err)
-	}
-	for mode := range snaps {
-		var s simmpi.Snapshot
-		for r := 0; r < 4; r++ {
-			rs := rankSnaps[mode][r]
-			s.IntraP2PMessages += rs.IntraP2PMessages
-			s.IntraP2PBytes += rs.IntraP2PBytes
-			s.InterP2PMessages += rs.InterP2PMessages
-			s.InterP2PBytes += rs.InterP2PBytes
-		}
-		snaps[mode] = s
-	}
-	checkHandAttribution(t, snaps, counts)
+	cases, totals := runExchangeModes(t, true)
+	checkHandAttribution(t, cases, totals)
 }
 
 // The async (StartExchange/Complete) and k-wide batched paths must deliver
-// the same values through the same aggregated envelopes: the handle defers
-// the node-aware receives to Complete, and a k-wide batch still costs one
-// message per envelope, carrying k columns.
+// the same values through the same envelopes as the blocking k = 1 update,
+// on both routings and both wire widths: async metering equals blocking
+// metering exactly, a k-wide batch costs the same messages carrying k× the
+// bytes, float32 costs the same messages carrying exactly half the bytes of
+// float64, and node-aware routing keeps the flat inter-node bytes while
+// strictly cutting inter-node messages.
 func TestNodeAwareAsyncAndBatchedExchange(t *testing.T) {
-	topo := simmpi.Topology{Nodes: 2, RanksPerNode: 2}
-	const k = 3
-	var asyncSnap, batchSnap simmpi.Snapshot
-	var batchCounts [4][4]int64
-	_, err := simmpi.RunTopo(4, testTimeout, topo, func(c *simmpi.Comm) error {
-		p := handPlan(c.Rank(), topo)
-		if !p.NodeAware() {
-			return fmt.Errorf("rank %d: schedule-topo plan not node-aware by default", c.Rank())
-		}
-
-		// Async single-column exchange.
-		xExt := []float64{float64(100 * c.Rank()), float64(100*c.Rank() + 1), 0, 0, 0}
-		c.Barrier()
-		if c.Rank() == 0 {
-			c.Meter().Reset()
-		}
-		c.Barrier()
-		h := p.StartExchange(c, xExt)
-		h.Complete(c, xExt, 2)
-		if err := checkHandHalo(c.Rank(), xExt); err != nil {
-			return fmt.Errorf("async: %w", err)
-		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			asyncSnap = c.Meter().Snapshot()
-		}
-
-		// k-wide batched exchange: column j of local value i holds
-		// 100*rank + i + 1000*j, so halo slot for source s, column j must
-		// come back as 100*s + 1000*j.
-		ext := make([]float64, 5*k)
-		for i := 0; i < 2; i++ {
-			for j := 0; j < k; j++ {
-				ext[i*k+j] = float64(100*c.Rank() + i + 1000*j)
+	cases, totals := runExchangeModes(t, false)
+	find := func(want exchangeCase) simmpi.Snapshot {
+		for i, ec := range cases {
+			if ec == want {
+				return totals[i]
 			}
 		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			c.Meter().Reset()
+		t.Fatalf("no case %v", want)
+		return simmpi.Snapshot{}
+	}
+	for _, ec := range cases {
+		s := find(ec)
+		sync := find(exchangeCase{aware: ec.aware, f32: ec.f32, k: 1})
+		if s.IntraP2PMessages != sync.IntraP2PMessages || s.InterP2PMessages != sync.InterP2PMessages ||
+			s.IntraP2PBytes != sync.IntraP2PBytes*int64(ec.k) || s.InterP2PBytes != sync.InterP2PBytes*int64(ec.k) {
+			t.Fatalf("%v: %+v is not the blocking k = 1 split %+v scaled by k", ec, s, sync)
 		}
-		c.Barrier()
-		p.ExchangeBatch(c, ext, 2, k)
-		slot := 0
-		for src := 0; src < 4; src++ {
-			if src == c.Rank() {
-				continue
+		if ec.f32 {
+			wide := find(exchangeCase{aware: ec.aware, async: ec.async, k: ec.k})
+			if s.IntraP2PMessages != wide.IntraP2PMessages || s.InterP2PMessages != wide.InterP2PMessages ||
+				2*s.IntraP2PBytes != wide.IntraP2PBytes || 2*s.InterP2PBytes != wide.InterP2PBytes {
+				t.Fatalf("%v: %+v is not half the float64 bytes of %+v over the same messages", ec, s, wide)
 			}
-			for j := 0; j < k; j++ {
-				if got, want := ext[(2+slot)*k+j], float64(100*src+1000*j); got != want {
-					return fmt.Errorf("rank %d batch halo slot %d col %d: got %v, want %v",
-						c.Rank(), slot, j, got, want)
-				}
+		}
+		if ec.aware {
+			flat := find(exchangeCase{f32: ec.f32, async: ec.async, k: ec.k})
+			if s.InterP2PBytes != flat.InterP2PBytes || s.InterP2PMessages >= flat.InterP2PMessages {
+				t.Fatalf("%v: node-aware inter %d msgs/%d B vs flat %d/%d: want fewer messages, same bytes",
+					ec, s.InterP2PMessages, s.InterP2PBytes, flat.InterP2PMessages, flat.InterP2PBytes)
 			}
-			slot++
 		}
-		im, ib, em, eb := p.ExchangeCounts(k)
-		batchCounts[c.Rank()] = [4]int64{im, ib, em, eb}
-		c.Barrier()
-		if c.Rank() == 0 {
-			batchSnap = c.Meter().Snapshot()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Async metering is identical to the blocking exchange (charged at post
-	// time): the hand-computed node-aware split.
-	if asyncSnap.IntraP2PMessages != 8 || asyncSnap.IntraP2PBytes != 96 ||
-		asyncSnap.InterP2PMessages != 2 || asyncSnap.InterP2PBytes != 64 {
-		t.Fatalf("async split: %+v, want intra 8/96 inter 2/64", asyncSnap)
-	}
-	// The batch moves k times the bytes through exactly the same number of
-	// messages.
-	if batchSnap.IntraP2PMessages != 8 || batchSnap.IntraP2PBytes != 96*k ||
-		batchSnap.InterP2PMessages != 2 || batchSnap.InterP2PBytes != 64*k {
-		t.Fatalf("batch split: %+v, want intra 8/%d inter 2/%d", batchSnap, 96*k, 64*k)
-	}
-	var im, ib, em, eb int64
-	for r := 0; r < 4; r++ {
-		im += batchCounts[r][0]
-		ib += batchCounts[r][1]
-		em += batchCounts[r][2]
-		eb += batchCounts[r][3]
-	}
-	if im != batchSnap.IntraP2PMessages || ib != batchSnap.IntraP2PBytes ||
-		em != batchSnap.InterP2PMessages || eb != batchSnap.InterP2PBytes {
-		t.Fatalf("ExchangeCounts(%d) sum (%d/%d intra, %d/%d inter) disagrees with meter %+v",
-			k, im, ib, em, eb, batchSnap)
 	}
 }
 
 // A distributed SpMV whose halo flows through the node-aware protocol must
-// produce values bit-identical to the flat schedule (same float64 payloads in
-// the same slots, only the envelope differs) and match the serial product to
-// rounding.
+// produce values bit-identical to the flat schedule (same payloads in the
+// same slots, only the envelope differs), at both wire widths and for the
+// blocking, nonblocking and k = 3 batched products, and match the serial
+// product: to rounding at float64, to float32 accuracy at float32.
 func TestNodeAwareSpMVBitIdenticalToFlat(t *testing.T) {
 	a := grid2d(8, 8)
 	n := a.Rows
-	const nranks = 4
+	const nranks, k = 4, 3
 	topo := simmpi.Topology{Nodes: 2, RanksPerNode: 2}
 	l := NewUniformLayout(n, nranks)
-	x := make([]float64, n)
+	x := make([]float64, n*k)
 	for i := range x {
 		x[i] = math.Sin(float64(3*i + 1))
 	}
-	want := make([]float64, n)
-	a.MulVec(x, want)
-
-	gotNap := make([]float64, n)
-	gotFlat := make([]float64, n)
+	// want[j] is the serial product of column j.
+	want := make([][]float64, k)
+	for j := range want {
+		xj := make([]float64, n)
+		for i := range xj {
+			xj[i] = x[i*k+j]
+		}
+		want[j] = make([]float64, n)
+		a.MulVec(xj, want[j])
+	}
+	const sync, async, batch = 0, 1, 2
+	// got[f32][aware][kind] holds the interleaved n×k result of one product
+	// kind (the scalar kinds act on column 0 only).
+	var got [2][2][3][]float64
+	for f := range got {
+		for r := range got[f] {
+			for kind := range got[f][r] {
+				got[f][r][kind] = make([]float64, n*k)
+			}
+		}
+	}
 	_, err := simmpi.RunTopo(nranks, testTimeout, topo, func(c *simmpi.Comm) error {
 		lo, hi := l.Range(c.Rank())
-		op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
+		nl := hi - lo
+		op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi), WithOverlap())
 		if !op.Plan.NodeAware() {
 			return fmt.Errorf("rank %d: plan built under a topology Comm not node-aware", c.Rank())
 		}
 		scratch := NewDistVec(op.LZ)
-		y := make([]float64, hi-lo)
-		op.MulVec(c, x[lo:hi], y, scratch, nil)
-		copy(gotNap[lo:hi], y)
-
-		op.Plan.SetNodeAware(false)
-		c.Barrier()
-		op.MulVec(c, x[lo:hi], y, scratch, nil)
-		copy(gotFlat[lo:hi], y)
+		bscratch := NewBatchDistVec(op.LZ, k)
+		x0 := make([]float64, nl)
+		for i := range x0 {
+			x0[i] = x[(lo+i)*k]
+		}
+		y := make([]float64, nl)
+		yb := make([]float64, nl*k)
+		for f, f32 := range []bool{false, true} {
+			op.SetF32(f32)
+			for r, aware := range []bool{false, true} {
+				op.Plan.SetNodeAware(aware)
+				c.Barrier()
+				op.MulVec(c, x0, y, scratch, nil)
+				for i, v := range y {
+					got[f][r][sync][(lo+i)*k] = v
+				}
+				op.Overlap().MulVecOverlapAsync(c, x0, y, scratch, nil)
+				for i, v := range y {
+					got[f][r][async][(lo+i)*k] = v
+				}
+				op.MulMat(c, x[lo*k:hi*k], yb, k, nil, bscratch, nil)
+				copy(got[f][r][batch][lo*k:hi*k], yb)
+			}
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if gotNap[i] != gotFlat[i] {
-			t.Fatalf("y[%d]: node-aware %v differs from flat %v", i, gotNap[i], gotFlat[i])
+	for f, f32 := range []bool{false, true} {
+		tol := 1e-12
+		if f32 {
+			tol = 1e-6
 		}
-		if math.Abs(gotNap[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
-			t.Fatalf("y[%d] = %v, want %v", i, gotNap[i], want[i])
+		for kind, name := range []string{"sync", "async", "batch"} {
+			flat, nap := got[f][0][kind], got[f][1][kind]
+			cols := 1
+			if kind == batch {
+				cols = k
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < cols; j++ {
+					if nap[i*k+j] != flat[i*k+j] {
+						t.Fatalf("f32=%v %s y[%d][%d]: node-aware %v differs from flat %v",
+							f32, name, i, j, nap[i*k+j], flat[i*k+j])
+					}
+					if w := want[j][i]; math.Abs(nap[i*k+j]-w) > tol*(1+math.Abs(w)) {
+						t.Fatalf("f32=%v %s y[%d][%d] = %v, want %v", f32, name, i, j, nap[i*k+j], w)
+					}
+				}
+			}
 		}
 	}
 }

@@ -86,8 +86,8 @@ func (o *OverlapOp) MulVecOverlap(c *simmpi.Comm, x, y []float64, scratch *DistV
 }
 
 // MulVecOverlapAsync computes y = A x like MulVecOverlap but drives the
-// halo update through the nonblocking primitives (Irecv posted before
-// Isend, completion deferred until boundary rows need the values). Results
+// halo update through StartExchange (sends posted with Isend, receives
+// completed once boundary rows need the values). Results
 // and metered traffic are identical to MulVecOverlap; only the posting
 // mechanism differs — this is the schedule the pipelined solver uses, and
 // the one a real-MPI port would execute verbatim.

@@ -547,7 +547,6 @@ type Request struct {
 	kind     string
 	done     chan struct{}
 	f64      []float64
-	f32      []float32
 	panicVal any
 	waited   bool
 }
@@ -568,21 +567,6 @@ func (r *Request) Wait() ([]float64, error) {
 		panic(r.panicVal)
 	}
 	return r.f64, nil
-}
-
-// Wait32 is Wait for operations whose payload is float32 (IrecvFloats32):
-// it blocks until completion and returns the received values. The waited-
-// twice and panic-propagation semantics match Wait exactly.
-func (r *Request) Wait32() ([]float32, error) {
-	if r.waited {
-		return nil, fmt.Errorf("%w: %s", ErrWaited, r.kind)
-	}
-	r.waited = true
-	<-r.done
-	if r.panicVal != nil {
-		panic(r.panicVal)
-	}
-	return r.f32, nil
 }
 
 // Done reports whether the operation has completed (Wait would not block).
@@ -711,19 +695,6 @@ func (c *Comm) IsendFloats32(dst, tag int, data []float32) *Request {
 		if err := c.t.Send(dst, Payload{Src: c.Rank(), Tag: tag, F32: payload}); err != nil {
 			panic(fmt.Sprintf("simmpi: rank %d sending tag %d to %d: %v", c.Rank(), tag, dst, err))
 		}
-	})
-}
-
-// IrecvFloats32 posts a receive for a float32 payload from src with the
-// given tag; Wait32 yields the values.
-func (c *Comm) IrecvFloats32(src, tag int) *Request {
-	c.checkPeer(src)
-	return c.post("irecv32", &c.st.recvTail, func(r *Request) {
-		m := c.recv(src, tag)
-		if m.F32 == nil && (m.F64 != nil || m.Ints != nil) {
-			panic(fmt.Sprintf("simmpi: rank %d expected float32s from %d tag %d, got %s", c.Rank(), src, tag, payloadKind(m)))
-		}
-		r.f32 = m.F32
 	})
 }
 

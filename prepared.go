@@ -118,6 +118,7 @@ type Prepared struct {
 // The setup-phase communication (plan index exchange, remote row gather,
 // distributed transpose) happens exactly once, here.
 func Prepare(a *Matrix, opt Options) (*Prepared, error) {
+	t0 := time.Now()
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -165,7 +166,6 @@ func Prepare(a *Matrix, opt Options) (*Prepared, error) {
 		parts:    make([]prepRank, ranks),
 		pools:    make([]sync.Pool, ranks),
 	}
-	t0 := time.Now()
 	if _, err := simmpi.Run(ranks, time.Hour, func(c *simmpi.Comm) error {
 		lo, hi := layout.Range(c.Rank())
 		aRows := distmat.ExtractLocalRows(pa, lo, hi)
@@ -190,10 +190,10 @@ func Prepare(a *Matrix, opt Options) (*Prepared, error) {
 	}); err != nil {
 		return nil, err
 	}
-	p.setup = time.Since(t0)
 	for i := range p.pools {
 		p.pools[i].New = func() any { return &krylov.Workspace{} }
 	}
+	p.setup = time.Since(t0)
 	return p, nil
 }
 

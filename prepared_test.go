@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -250,5 +251,22 @@ func TestAutoRanks(t *testing.T) {
 	got := AutoRanks(big, 0)
 	if got < 2 || got > 12 {
 		t.Fatalf("auto ranks %d outside [2,12]", got)
+	}
+}
+
+// SetupTime is the wall-clock cost of the whole Prepare: partitioning and
+// the row permutation are part of the setup every cached solve avoids, and
+// on a 3D Poisson system they are a visible share of it.
+func TestPreparedSetupTimeCoversPrepare(t *testing.T) {
+	a := GeneratePoisson3D(20, 20, 20)
+	t0 := time.Now()
+	p, err := Prepare(a, Options{Ranks: 4})
+	outside := time.Since(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.SetupTime(); got < outside*9/10 {
+		t.Fatalf("SetupTime %v covers %.0f%% of the %v Prepare, want ≥ 90%%",
+			got, 100*got.Seconds()/outside.Seconds(), outside)
 	}
 }
