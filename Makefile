@@ -141,7 +141,9 @@ spai:
 # mp: multi-process smoke test — build the rank worker binary and run its
 # selfcheck, which solves one catalog instance on 4 goroutine ranks and
 # again on 4 OS processes over the TCP mesh and diffs the two bit for bit
-# (solution, iteration count, per-rank comm meters).
+# (solution, iteration count, per-rank comm meters), first as a scalar
+# full-setup solve and then as a K = 4 batched one (every column's
+# solution and iteration count).
 mp:
 	$(GO) build -o bin/fsairank ./cmd/fsairank
 	./bin/fsairank -selfcheck

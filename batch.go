@@ -13,12 +13,8 @@ import (
 	"fmt"
 	"time"
 
-	"fsaicomm/internal/archmodel"
-	"fsaicomm/internal/core"
-	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/mprun"
-	"fsaicomm/internal/vecops"
 )
 
 // ErrBatchVariant is wrapped by the error batched solves return when the
@@ -71,8 +67,9 @@ type BatchResult struct {
 	IntraNodeMessages int64
 	InterNodeBytes    int64
 	InterNodeMessages int64
-	// SetupTime and SolveTime are wall-clock phase durations (SetupTime is
-	// 0 for Prepared.SolveBatch, whose setup was paid in Prepare).
+	// SetupTime and SolveTime are wall-clock phase durations (SetupTime runs
+	// from entry, partition included, and is 0 for Prepared.SolveBatch,
+	// whose setup was paid in Prepare).
 	SetupTime, SolveTime time.Duration
 }
 
@@ -86,9 +83,22 @@ func (r *BatchResult) AllConverged() bool {
 	return true
 }
 
-// checkBatchRHS validates the RHS block shape shared by the batched entry
-// points.
-func checkBatchRHS(rhs [][]float64, n int) error {
+// checkBatch validates what a batched solve asks beyond a scalar one: a CG
+// variant with a batched loop, the CG family, no trace (BatchResult has no
+// trace field, so a traced batch would drop it silently), and a
+// rectangular, finite RHS block.
+func checkBatch(so SolveOptions, solver Solver, rhs [][]float64, n int) error {
+	switch so.CGVariant {
+	case CGClassic, CGFused:
+	default:
+		return fmt.Errorf("%w: variant %d (batched solves support classic and fused)", ErrBatchVariant, int(so.CGVariant))
+	}
+	if solver == SolverGMRES {
+		return fmt.Errorf("%w: batched solves support the CG family only (GMRES solves one right-hand side at a time)", ErrInvalidOptions)
+	}
+	if so.Trace {
+		return fmt.Errorf("%w: batched solves record no per-iteration trace (solve one right-hand side to trace it)", ErrInvalidOptions)
+	}
 	if len(rhs) < 1 {
 		return fmt.Errorf("fsaicomm: batch needs at least 1 right-hand side")
 	}
@@ -103,23 +113,16 @@ func checkBatchRHS(rhs [][]float64, n int) error {
 	return nil
 }
 
-func checkBatchVariant(v CGVariant) error {
-	switch v {
-	case CGClassic, CGFused:
-		return nil
-	default:
-		return fmt.Errorf("%w: variant %d (batched solves support classic and fused)", ErrBatchVariant, int(v))
-	}
-}
-
 // packPermuted interleaves the RHS columns row-major in partition order:
-// pb[p*k+c] = rhs[c][old row of permuted row p].
-func packPermuted(rhs [][]float64, oldToNew []int, n int) []float64 {
+// pb[p*k+c] = rhs[c][old row of permuted row p]. A single column is simply
+// the permuted vector.
+func packPermuted(rhs [][]float64, oldToNew []int) []float64 {
 	k := len(rhs)
-	pb := make([]float64, n*k)
-	for c := range rhs {
-		col := distmat.PermuteVec(rhs[c], oldToNew)
-		vecops.PackColumn(pb, col, k, c)
+	pb := make([]float64, len(oldToNew)*k)
+	for c, col := range rhs {
+		for i, v := range col {
+			pb[oldToNew[i]*k+c] = v
+		}
 	}
 	return pb
 }
@@ -136,72 +139,21 @@ func SolveBatch(a *Matrix, rhs [][]float64, opt Options) (*BatchResult, error) {
 // at the same iteration boundary and the partial per-column results come
 // back with an ErrCanceled-wrapped error.
 func SolveBatchContext(ctx context.Context, a *Matrix, rhs [][]float64, opt Options) (*BatchResult, error) {
+	t0 := time.Now()
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkBatchVariant(opt.CGVariant); err != nil {
+	if err := checkBatch(opt.solveOptions(), opt.Solver, rhs, a.Rows); err != nil {
 		return nil, err
 	}
-	if opt.Solver == SolverGMRES {
-		return nil, fmt.Errorf("%w: batched solves support the CG family only (GMRES solves one right-hand side at a time)", ErrInvalidOptions)
-	}
-	if len(rhs) < 1 {
-		return nil, checkBatchRHS(rhs, a.Rows)
-	}
-	if err := checkInput(a, rhs[0], opt.Solver); err != nil {
+	if err := checkInputMatrix(a, opt.Solver); err != nil {
 		return nil, err
 	}
-	if err := checkBatchRHS(rhs, a.Rows); err != nil {
-		return nil, err
-	}
-	opt = opt.withDefaults(a.Rows)
-	ranks := AutoRanks(a, opt.Ranks)
-	if ranks < 1 {
-		return nil, fmt.Errorf("fsaicomm: ranks %d < 1", ranks)
-	}
-	topo, err := resolveTopology(ranks, opt.Nodes, opt.RanksPerNode)
+	p, outs, err := solveFresh(ctx, t0, a, opt, rhs, len(rhs))
 	if err != nil {
 		return nil, err
 	}
-	part, err := partitionRows(a, opt, ranks)
-	if err != nil {
-		return nil, err
-	}
-	pa, layout, oldToNew := distmat.ApplyPartition(a, part, ranks)
-	k := len(rhs)
-	spec := &mprun.SolveBatchSpec{
-		N:       a.Rows,
-		Ranks:   ranks,
-		Offsets: layout.Offsets,
-		PA:      pa,
-		K:       k,
-		PB:      packPermuted(rhs, oldToNew, a.Rows),
-		Cfg: core.Config{
-			Method:       opt.Method,
-			Filter:       opt.Filter,
-			Strategy:     opt.Strategy,
-			LineBytes:    opt.LineBytes,
-			PatternLevel: opt.PatternLevel,
-			Threshold:    opt.Threshold,
-			Workers:      opt.Workers,
-			CGVariant:    opt.CGVariant,
-			Precision:    opt.Precision,
-		},
-		Tol:               opt.Tol,
-		MaxIter:           opt.MaxIter,
-		Variant:           opt.CGVariant,
-		Arch:              opt.Arch,
-		Nodes:             topo.Nodes,
-		RanksPerNode:      topo.RanksPerNode,
-		NoNodeAggregation: opt.NoNodeAggregation,
-	}
-	outs, err := runRanks(ctx, opt.Transport, ranks, topo, func(int) *mprun.JobSpec {
-		return &mprun.JobSpec{SolveBatch: spec}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return assembleBatchResult(a.Rows, ranks, k, oldToNew, outs, 0, 0)
+	return assembleBatchResult(p, len(rhs), outs)
 }
 
 // SolveBatch runs one batched distributed CG solve over all columns of rhs
@@ -216,127 +168,55 @@ func (p *Prepared) SolveBatch(ctx context.Context, rhs [][]float64, so SolveOpti
 	if err := so.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkBatchVariant(so.CGVariant); err != nil {
+	if err := checkBatch(so, p.setupOpt.Solver, rhs, p.n); err != nil {
 		return nil, err
 	}
-	if p.setupOpt.Solver == SolverGMRES {
-		return nil, fmt.Errorf("%w: batched solves support the CG family only (this system was prepared for SPAI+GMRES)", ErrInvalidOptions)
-	}
-	if err := checkBatchRHS(rhs, p.n); err != nil {
-		return nil, err
-	}
-	if so.Tol == 0 {
-		so.Tol = 1e-8
-	}
-	if so.MaxIter == 0 {
-		so.MaxIter = 10 * p.n
-		if so.MaxIter < 100 {
-			so.MaxIter = 100
-		}
-	}
-	if so.Arch != "" {
-		if _, err := archmodel.ByName(so.Arch); err != nil {
-			return nil, fmt.Errorf("fsaicomm: %w", err)
-		}
-	}
-
-	topo, err := resolveTopology(p.ranks, so.Nodes, so.RanksPerNode)
+	outs, err := p.run(ctx, so, nil, rhs, len(rhs))
 	if err != nil {
 		return nil, err
 	}
-
-	k := len(rhs)
-	pb := packPermuted(rhs, p.oldToNew, p.n)
-	specs := make([]*mprun.PreparedBatchSpec, p.ranks)
-	for r := range specs {
-		pr := &p.parts[r]
-		specs[r] = &mprun.PreparedBatchSpec{
-			Prepared: &mprun.PreparedRankSpec{
-				N: p.n, Ranks: p.ranks, Offsets: p.layout.Offsets,
-				Lo: pr.lo, Hi: pr.hi,
-				ALZ: pr.aLZ, GLZ: pr.gLZ, GTLZ: pr.gtLZ,
-				ASend: pr.aPlan.SendPeers, ARecv: pr.aPlan.RecvPeers,
-				GSend: pr.gPlan.SendPeers, GRecv: pr.gPlan.RecvPeers,
-				GTSend: pr.gtPlan.SendPeers, GTRecv: pr.gtPlan.RecvPeers,
-				ACounts: pr.aPlan.NeedCounts(), GCounts: pr.gPlan.NeedCounts(),
-				GTCounts:          pr.gtPlan.NeedCounts(),
-				Pct:               p.pct,
-				Imbalance:         p.imbalance,
-				Tol:               so.Tol,
-				MaxIter:           so.MaxIter,
-				Variant:           so.CGVariant,
-				Arch:              so.Arch,
-				Precision:         p.setupOpt.Precision,
-				Nodes:             topo.Nodes,
-				RanksPerNode:      topo.RanksPerNode,
-				NoNodeAggregation: so.NoNodeAggregation,
-			},
-			K:      k,
-			BLocal: pb[pr.lo*k : pr.hi*k],
-		}
-	}
-	outs, err := runRanks(ctx, so.Transport, p.ranks, topo, func(rank int) *mprun.JobSpec {
-		return &mprun.JobSpec{PreparedBatch: specs[rank]}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return assembleBatchResult(p.n, p.ranks, k, p.oldToNew, outs, p.pct, p.imbalance)
+	return assembleBatchResult(p, len(rhs), outs)
 }
 
-// assembleBatchResult folds the per-rank batched outcomes into the
-// caller-facing BatchResult, un-permuting each column of the interleaved
-// solution blocks.
-func assembleBatchResult(n, ranks, k int, oldToNew []int, outs []*mprun.RankOutcome, pct, imb float64) (*BatchResult, error) {
+// assembleBatchResult folds the per-rank outcomes of a batched solve into
+// the caller-facing BatchResult, un-permuting each column of the
+// interleaved solution blocks.
+func assembleBatchResult(p *Prepared, k int, outs []*mprun.RankOutcome) (*BatchResult, error) {
+	px, comm, err := gather(p.n, k, outs)
+	if err != nil {
+		return nil, err
+	}
 	root := outs[0]
-	if root == nil || root.Batch == nil {
+	bo := root.Batch
+	if bo == nil {
 		return nil, fmt.Errorf("fsaicomm: rank 0 reported no batch outcome")
 	}
 	res := &BatchResult{
-		Cols:           make([]ColResult, k),
-		Iterations:     root.Iterations,
-		Refinements:    root.Refinements,
-		Ranks:          ranks,
-		PctNNZIncrease: root.Pct,
-		ImbalanceIndex: root.Imbalance,
-		SetupTime:      time.Duration(root.SetupNanos),
-		SolveTime:      time.Duration(root.SolveNanos),
+		Cols:              make([]ColResult, k),
+		Iterations:        root.Iterations,
+		Refinements:       root.Refinements,
+		Ranks:             p.ranks,
+		PctNNZIncrease:    root.Pct,
+		ImbalanceIndex:    root.Imbalance,
+		CommBytes:         comm.P2PBytes,
+		CommMessages:      comm.P2PMessages,
+		CollectiveCalls:   comm.CollectiveCalls,
+		CollectiveBytes:   comm.CollectiveBytes,
+		IntraNodeBytes:    comm.IntraP2PBytes,
+		IntraNodeMessages: comm.IntraP2PMessages,
+		InterNodeBytes:    comm.InterP2PBytes,
+		InterNodeMessages: comm.InterP2PMessages,
+		SetupTime:         time.Duration(root.SetupNanos),
+		SolveTime:         time.Duration(root.SolveNanos),
 	}
-	if pct != 0 {
-		res.PctNNZIncrease = pct
-	}
-	if imb != 0 {
-		res.ImbalanceIndex = imb
-	}
-	px := make([]float64, n*k)
-	for r, out := range outs {
-		if out == nil || out.Batch == nil {
-			return nil, fmt.Errorf("fsaicomm: rank %d reported no batch outcome", r)
+	for c := range res.Cols {
+		res.Cols[c] = ColResult{
+			X:           unpermute(px, p.oldToNew, k, c),
+			Iterations:  bo.Iterations[c],
+			Converged:   bo.Converged[c],
+			RelResidual: bo.RelResidual[c],
+			Broken:      bo.Broken[c],
 		}
-		copy(px[out.Lo*k:out.Hi*k], out.XLocal)
-		res.CommBytes += out.SolveComm.P2PBytes
-		res.CommMessages += out.SolveComm.P2PMessages
-		res.IntraNodeBytes += out.SolveComm.IntraP2PBytes
-		res.IntraNodeMessages += out.SolveComm.IntraP2PMessages
-		res.InterNodeBytes += out.SolveComm.InterP2PBytes
-		res.InterNodeMessages += out.SolveComm.InterP2PMessages
-		res.CollectiveCalls += out.SolveComm.CollectiveCalls
-		res.CollectiveBytes += out.SolveComm.CollectiveBytes
 	}
-	bo := root.Batch
-	for c := 0; c < k; c++ {
-		col := &res.Cols[c]
-		col.X = make([]float64, n)
-		for i := range col.X {
-			col.X[i] = px[oldToNew[i]*k+c]
-		}
-		col.Iterations = bo.Iterations[c]
-		col.Converged = bo.Converged[c]
-		col.RelResidual = bo.RelResidual[c]
-		col.Broken = bo.Broken[c]
-	}
-	if root.Canceled {
-		return res, fmt.Errorf("fsaicomm: %w at iteration %d", krylov.ErrCanceled, res.Iterations)
-	}
-	return res, nil
+	return res, stopErr(root)
 }

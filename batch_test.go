@@ -297,4 +297,12 @@ func TestSolveBatchValidation(t *testing.T) {
 	if _, err := SolveBatch(a, rhs, Options{MaxIter: -1}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("SolveBatch bad options: %v", err)
 	}
+	// BatchResult has no trace field: a traced batch is refused, not
+	// silently untraced.
+	if _, err := SolveBatch(a, rhs, Options{Trace: true}); !errors.Is(err, ErrInvalidOptions) {
+		t.Errorf("SolveBatch with Trace: %v, want ErrInvalidOptions", err)
+	}
+	if _, err := p.SolveBatch(context.Background(), rhs, SolveOptions{Trace: true}); !errors.Is(err, ErrInvalidOptions) {
+		t.Errorf("Prepared.SolveBatch with Trace: %v, want ErrInvalidOptions", err)
+	}
 }

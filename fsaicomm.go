@@ -31,7 +31,6 @@ import (
 
 	"fsaicomm/internal/archmodel"
 	"fsaicomm/internal/core"
-	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/experiments"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/matgen"
@@ -427,12 +426,19 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// spaiConfig maps the facade options onto the core build config for an SPAI
-// build (serial or distributed; the unused FSAI knobs stay zero).
-func spaiConfig(opt Options) core.Config {
+// buildConfig maps the facade options onto the core build config — the one
+// place every build (serial or distributed, FSAI family or SPAI) gets it
+// from. The CG variant and the precision are per-solve choices: the rank
+// job derives overlap views and float32 factor operators from the built
+// parts, so the build stays the plain blocking FP64 one.
+func buildConfig(opt Options) core.Config {
 	return core.Config{
-		Method:       SPAI,
+		Method:       opt.Method,
+		Filter:       opt.Filter,
+		Strategy:     opt.Strategy,
+		LineBytes:    opt.LineBytes,
 		PatternLevel: opt.PatternLevel,
+		Threshold:    opt.Threshold,
 		Workers:      opt.Workers,
 		SPAISteps:    opt.SPAISteps,
 		SPAIAdd:      opt.SPAIAdd,
@@ -444,16 +450,38 @@ func (o Options) withDefaults(n int) Options {
 	if o.LineBytes == 0 {
 		o.LineBytes = 64
 	}
-	if o.Tol == 0 {
-		o.Tol = 1e-8
-	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 10 * n
-		if o.MaxIter < 100 {
-			o.MaxIter = 100
-		}
-	}
+	o.Tol, o.MaxIter = solveLimits(o.Tol, o.MaxIter, n)
 	return o
+}
+
+// solveLimits resolves the zero Tol and MaxIter of every entry point: the
+// paper's 1e-8 relative residual and 10·n iterations (at least 100).
+func solveLimits(tol float64, maxIter, n int) (float64, int) {
+	if tol == 0 {
+		tol = 1e-8
+	}
+	if maxIter == 0 {
+		maxIter = max(10*n, 100)
+	}
+	return tol, maxIter
+}
+
+// solveOptions is the per-solve half of o, what a full solve hands to the
+// rank job next to its build.
+func (o Options) solveOptions() SolveOptions {
+	return SolveOptions{
+		Tol:                  o.Tol,
+		MaxIter:              o.MaxIter,
+		CGVariant:            o.CGVariant,
+		Restart:              o.Restart,
+		Arch:                 o.Arch,
+		Trace:                o.Trace,
+		ResidualReplaceEvery: o.ResidualReplaceEvery,
+		Transport:            o.Transport,
+		Nodes:                o.Nodes,
+		RanksPerNode:         o.RanksPerNode,
+		NoNodeAggregation:    o.NoNodeAggregation,
+	}
 }
 
 // Result reports a solve.
@@ -500,7 +528,9 @@ type Result struct {
 	// balanced; only meaningful for distributed solves).
 	ImbalanceIndex float64
 	// SetupTime and SolveTime are wall-clock durations of preconditioner
-	// construction and the CG loop.
+	// construction and the Krylov loop. A distributed SetupTime runs from
+	// entry, partition and permutation included; it is 0 for
+	// Prepared.Solve, whose setup was paid in Prepare.
 	SetupTime, SolveTime time.Duration
 	// ModeledSolveTime is the solve time in seconds under the α–β cost model
 	// of the selected architecture profile (Options.Arch), with overlap
@@ -539,22 +569,13 @@ var ErrCanceled = krylov.ErrCanceled
 var ErrBreakdown = krylov.ErrBreakdown
 
 func checkInput(a *Matrix, b []float64, solver Solver) error {
-	if a.Rows != a.Cols {
-		return fmt.Errorf("fsaicomm: matrix is %dx%d, want square", a.Rows, a.Cols)
+	if err := checkInputMatrix(a, solver); err != nil {
+		return err
 	}
 	if len(b) != a.Rows {
 		return fmt.Errorf("fsaicomm: rhs length %d, want %d", len(b), a.Rows)
 	}
-	if err := a.Validate(); err != nil {
-		return fmt.Errorf("fsaicomm: invalid matrix: %w", err)
-	}
-	if !a.IsFinite() {
-		return fmt.Errorf("%w: matrix contains NaN or Inf values", ErrInvalidOptions)
-	}
-	if err := checkFiniteRHS(b); err != nil {
-		return err
-	}
-	return checkSolverMatrix(a, solver)
+	return checkFiniteRHS(b)
 }
 
 // checkSolverMatrix enforces the solver's matrix requirements at the
@@ -609,7 +630,7 @@ func SolveContext(ctx context.Context, a *Matrix, b []float64, opt Options) (*Re
 	var precond krylov.Preconditioner
 	var g *sparse.CSR
 	if opt.Solver == SolverGMRES {
-		m, p, err := core.BuildSerialSPAI(a, spaiConfig(opt))
+		m, p, err := core.BuildSerialSPAI(a, buildConfig(opt))
 		if err != nil {
 			return nil, err
 		}
@@ -704,75 +725,38 @@ func SolveDistributed(a *Matrix, b []float64, opt Options) (*Result, error) {
 // collective verdict, so all ranks stop at the same iteration boundary and
 // the partial Result so far is returned with an ErrCanceled-wrapped error.
 func SolveDistributedContext(ctx context.Context, a *Matrix, b []float64, opt Options) (*Result, error) {
+	t0 := time.Now()
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
 	if err := checkInput(a, b, opt.Solver); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults(a.Rows)
-	ranks := AutoRanks(a, opt.Ranks)
-	if ranks < 1 {
-		return nil, fmt.Errorf("fsaicomm: ranks %d < 1", ranks)
-	}
-	topo, err := resolveTopology(ranks, opt.Nodes, opt.RanksPerNode)
+	p, outs, err := solveFresh(ctx, t0, a, opt, [][]float64{b}, 0)
 	if err != nil {
 		return nil, err
 	}
-	prof := archmodel.Skylake
-	if opt.Arch != "" {
-		var err error
-		if prof, err = archmodel.ByName(opt.Arch); err != nil {
-			return nil, fmt.Errorf("fsaicomm: %w", err)
-		}
-	}
+	return assembleDistResult(p, opt.solveOptions(), outs)
+}
 
-	part, err := partitionRows(a, opt, ranks)
+// solveFresh is the full-setup path of SolveDistributed and SolveBatch:
+// partition and permute A, then run the rank job with a build part, so every
+// rank builds its setup parts inside the solve's own world (and over the
+// solve's own transport). The facade's share of the setup, from t0 to the
+// rank launch, is charged to rank 0's setup clock, so SetupTime covers the
+// whole setup.
+func solveFresh(ctx context.Context, t0 time.Time, a *Matrix, opt Options, rhs [][]float64, k int) (*Prepared, []*mprun.RankOutcome, error) {
+	p, build, err := partitioned(a, opt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	pa, layout, oldToNew := distmat.ApplyPartition(a, part, ranks)
-	pb := distmat.PermuteVec(b, oldToNew)
-
-	spec := &mprun.SolveSpec{
-		N:       a.Rows,
-		Ranks:   ranks,
-		Offsets: layout.Offsets,
-		PA:      pa,
-		PB:      pb,
-		Cfg: core.Config{
-			Method:       opt.Method,
-			Filter:       opt.Filter,
-			Strategy:     opt.Strategy,
-			LineBytes:    opt.LineBytes,
-			PatternLevel: opt.PatternLevel,
-			Threshold:    opt.Threshold,
-			Workers:      opt.Workers,
-			CGVariant:    opt.CGVariant,
-			Precision:    opt.Precision,
-			SPAISteps:    opt.SPAISteps,
-			SPAIAdd:      opt.SPAIAdd,
-			SPAIEpsilon:  opt.SPAIEpsilon,
-		},
-		Solver:               opt.Solver,
-		Restart:              opt.Restart,
-		Tol:                  opt.Tol,
-		MaxIter:              opt.MaxIter,
-		Variant:              opt.CGVariant,
-		Trace:                opt.Trace,
-		ResidualReplaceEvery: opt.ResidualReplaceEvery,
-		Arch:                 opt.Arch,
-		Nodes:                topo.Nodes,
-		RanksPerNode:         topo.RanksPerNode,
-		NoNodeAggregation:    opt.NoNodeAggregation,
-	}
-	outs, err := runRanks(ctx, opt.Transport, ranks, topo, func(int) *mprun.JobSpec {
-		return &mprun.JobSpec{Solve: spec}
-	})
+	pre := time.Since(t0)
+	outs, err := p.run(ctx, p.setupOpt.solveOptions(), build, rhs, k)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return assembleDistResult(a.Rows, ranks, prof, opt.CGVariant, oldToNew, outs, 0, 0)
+	outs[0].SetupNanos += pre.Nanoseconds()
+	return p, outs, nil
 }
 
 // resolveTopology maps a requested node grouping onto the resolved rank
@@ -790,91 +774,99 @@ func resolveTopology(ranks, nodes, ranksPerNode int) (simmpi.Topology, error) {
 	return topo, nil
 }
 
-// runRanks executes one job per rank on the selected transport: "sim" (or
-// empty) runs goroutine ranks over the in-process metered channels, "tcp"
-// spawns one OS process per rank wired into a loopback socket mesh. Both
-// paths run the identical mprun rank job, which is what makes their results
-// and meters bit-identical. topo attaches the two-level node grouping to the
-// sim world's meters; the tcp workers derive the same topology from the job
-// spec itself.
-func runRanks(ctx context.Context, transport string, ranks int, topo simmpi.Topology, jobFor func(rank int) *mprun.JobSpec) ([]*mprun.RankOutcome, error) {
-	if transport == "tcp" {
-		return mprun.Launch(ctx, ranks, time.Hour, jobFor)
-	}
-	outs := make([]*mprun.RankOutcome, ranks)
-	_, err := simmpi.RunTopo(ranks, time.Hour, topo, func(c *simmpi.Comm) error {
-		out, err := mprun.RunJob(ctx, c, jobFor(c.Rank()))
-		if err != nil {
-			return err
+// gather folds what every rank reported into the partition-ordered
+// solution block (n×w interleaved) and the solve-phase meters summed over
+// ranks. The per-rank snapshot deltas are charged synchronously on each
+// rank, so the totals are deterministic and identical across transports.
+func gather(n, w int, outs []*mprun.RankOutcome) ([]float64, simmpi.Snapshot, error) {
+	px := make([]float64, n*w)
+	var comm simmpi.Snapshot
+	for r, out := range outs {
+		if out == nil {
+			return nil, comm, fmt.Errorf("fsaicomm: rank %d reported no outcome", r)
 		}
-		outs[c.Rank()] = out
-		return nil
-	})
+		copy(px[out.Lo*w:out.Hi*w], out.XLocal)
+		s := out.SolveComm
+		comm.P2PBytes += s.P2PBytes
+		comm.P2PMessages += s.P2PMessages
+		comm.IntraP2PBytes += s.IntraP2PBytes
+		comm.IntraP2PMessages += s.IntraP2PMessages
+		comm.InterP2PBytes += s.InterP2PBytes
+		comm.InterP2PMessages += s.InterP2PMessages
+		comm.CollectiveCalls += s.CollectiveCalls
+		comm.CollectiveBytes += s.CollectiveBytes
+	}
+	return px, comm, nil
+}
+
+// unpermute returns column c of the partition-ordered n×w block px in the
+// caller's original row order.
+func unpermute(px []float64, oldToNew []int, w, c int) []float64 {
+	x := make([]float64, len(oldToNew))
+	for i := range x {
+		x[i] = px[oldToNew[i]*w+c]
+	}
+	return x
+}
+
+// stopErr reports a loop that stopped early: on a cancellation verdict or,
+// for scalar solves, a breakdown (batched solves flag breakdowns per
+// column instead).
+func stopErr(root *mprun.RankOutcome) error {
+	if root.Canceled {
+		return fmt.Errorf("fsaicomm: %w at iteration %d", krylov.ErrCanceled, root.Iterations)
+	}
+	if root.Broken && root.Batch == nil {
+		return fmt.Errorf("fsaicomm: %w at iteration %d (rel residual %g)", krylov.ErrBreakdown, root.Iterations, root.RelResidual)
+	}
+	return nil
+}
+
+// assembleDistResult folds the per-rank outcomes of a scalar solve into the
+// caller-facing Result, with the modeled solve time under so.Arch.
+func assembleDistResult(p *Prepared, so SolveOptions, outs []*mprun.RankOutcome) (*Result, error) {
+	px, comm, err := gather(p.n, 1, outs)
 	if err != nil {
 		return nil, err
 	}
-	return outs, nil
-}
-
-// assembleDistResult folds the per-rank outcomes into the caller-facing
-// Result. Communication totals are the sum of the per-rank solve-phase
-// snapshot deltas — charged synchronously on each rank, so the totals are
-// deterministic and identical across transports. pct/imb override the rank-0
-// build metrics when the caller (the prepared path) already knows them.
-func assembleDistResult(n, ranks int, prof archmodel.Profile, variant CGVariant, oldToNew []int, outs []*mprun.RankOutcome, pct, imb float64) (*Result, error) {
+	prof := archmodel.Skylake
+	if so.Arch != "" {
+		if prof, err = archmodel.ByName(so.Arch); err != nil {
+			return nil, fmt.Errorf("fsaicomm: %w", err)
+		}
+	}
 	root := outs[0]
 	res := &Result{
-		Ranks:          ranks,
-		Iterations:     root.Iterations,
-		Converged:      root.Converged,
-		RelResidual:    root.RelResidual,
-		Refinements:    root.Refinements,
-		PctNNZIncrease: root.Pct,
-		ImbalanceIndex: root.Imbalance,
-		SetupTime:      time.Duration(root.SetupNanos),
-		SolveTime:      time.Duration(root.SolveNanos),
-		Trace:          root.Trace,
-	}
-	if pct != 0 {
-		res.PctNNZIncrease = pct
-	}
-	if imb != 0 {
-		res.ImbalanceIndex = imb
-	}
-	costs := make([]experiments.IterCostInputs, ranks)
-	px := make([]float64, n)
-	for r, out := range outs {
-		if out == nil {
-			return nil, fmt.Errorf("fsaicomm: rank %d reported no outcome", r)
-		}
-		costs[r] = out.Cost
-		copy(px[out.Lo:out.Hi], out.XLocal)
-		res.CommBytes += out.SolveComm.P2PBytes
-		res.CommMessages += out.SolveComm.P2PMessages
-		res.IntraNodeBytes += out.SolveComm.IntraP2PBytes
-		res.IntraNodeMessages += out.SolveComm.IntraP2PMessages
-		res.InterNodeBytes += out.SolveComm.InterP2PBytes
-		res.InterNodeMessages += out.SolveComm.InterP2PMessages
-		res.CollectiveCalls += out.SolveComm.CollectiveCalls
-		res.CollectiveBytes += out.SolveComm.CollectiveBytes
+		X:                 unpermute(px, p.oldToNew, 1, 0),
+		Ranks:             p.ranks,
+		Iterations:        root.Iterations,
+		Converged:         root.Converged,
+		RelResidual:       root.RelResidual,
+		Refinements:       root.Refinements,
+		PctNNZIncrease:    root.Pct,
+		ImbalanceIndex:    root.Imbalance,
+		CommBytes:         comm.P2PBytes,
+		CommMessages:      comm.P2PMessages,
+		IntraNodeBytes:    comm.IntraP2PBytes,
+		IntraNodeMessages: comm.IntraP2PMessages,
+		InterNodeBytes:    comm.InterP2PBytes,
+		InterNodeMessages: comm.InterP2PMessages,
+		CollectiveCalls:   comm.CollectiveCalls,
+		CollectiveBytes:   comm.CollectiveBytes,
+		SetupTime:         time.Duration(root.SetupNanos),
+		SolveTime:         time.Duration(root.SolveNanos),
+		Trace:             root.Trace,
 	}
 	if res.Iterations > 0 {
 		res.CommBytesPerIteration = float64(res.CommBytes) / float64(res.Iterations)
 	}
-	res.ModeledSolveTime = experiments.ModeledSolveTime(prof, variant, res.Iterations, costs)
-	res.Phases = experiments.ModeledPhases(prof, variant, res.Iterations, costs)
-	// Un-permute the (possibly partial, under cancellation) solution.
-	res.X = make([]float64, n)
-	for i := range res.X {
-		res.X[i] = px[oldToNew[i]]
+	costs := make([]experiments.IterCostInputs, len(outs))
+	for r, out := range outs {
+		costs[r] = out.Cost
 	}
-	if root.Canceled {
-		return res, fmt.Errorf("fsaicomm: %w at iteration %d", krylov.ErrCanceled, res.Iterations)
-	}
-	if root.Broken {
-		return res, fmt.Errorf("fsaicomm: %w at iteration %d (rel residual %g)", krylov.ErrBreakdown, res.Iterations, res.RelResidual)
-	}
-	return res, nil
+	res.ModeledSolveTime = experiments.ModeledSolveTime(prof, so.CGVariant, res.Iterations, costs)
+	res.Phases = experiments.ModeledPhases(prof, so.CGVariant, res.Iterations, costs)
+	return res, stopErr(root)
 }
 
 // Architecture profiles for the experiment drivers (re-exported for

@@ -211,9 +211,36 @@ func TestCGBatchCancellation(t *testing.T) {
 	}
 }
 
+// solvePhase meters only the solve phase of a world: every rank marks the
+// start of its solve and reports its own traffic since then. Rank-local
+// snapshot deltas are exact; a meter reset by one rank would race the other
+// ranks' collectives around it.
+type solvePhase []simmpi.Snapshot
+
+func (p solvePhase) start(c *simmpi.Comm) simmpi.Snapshot {
+	c.Barrier()
+	return c.Meter().RankSnapshot(c.Rank())
+}
+
+func (p solvePhase) stop(c *simmpi.Comm, start simmpi.Snapshot) {
+	p[c.Rank()] = c.Meter().RankSnapshot(c.Rank()).Sub(start)
+}
+
+// total sums the ranks' solve-phase traffic.
+func (p solvePhase) total() simmpi.Snapshot {
+	var s simmpi.Snapshot
+	for _, r := range p {
+		s.P2PBytes += r.P2PBytes
+		s.P2PMessages += r.P2PMessages
+		s.CollectiveCalls += r.CollectiveCalls
+		s.CollectiveBytes += r.CollectiveBytes
+	}
+	return s
+}
+
 // distBatchSolve runs DistCGBatch on nranks ranks and returns the
-// assembled interleaved solution, the stats, and the run's meter.
-func distBatchSolve(t *testing.T, a *sparse.CSR, b []float64, k, nranks int, opt Options) ([]float64, BatchStats, *simmpi.Meter) {
+// assembled interleaved solution, the stats, and the solve-phase traffic.
+func distBatchSolve(t *testing.T, a *sparse.CSR, b []float64, k, nranks int, opt Options) ([]float64, BatchStats, simmpi.Snapshot) {
 	t.Helper()
 	n := a.Rows
 	l := distmat.NewUniformLayout(n, nranks)
@@ -223,20 +250,17 @@ func distBatchSolve(t *testing.T, a *sparse.CSR, b []float64, k, nranks int, opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
+	phase := make(solvePhase, nranks)
+	_, err = simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
 		lo, hi := l.Range(c.Rank())
 		op := distmat.NewOp(c, l, lo, hi, distmat.ExtractLocalRows(a, lo, hi))
-		// Meter only the solve phase: reset after the collective setup.
-		c.Barrier()
-		if c.Rank() == 0 {
-			c.Meter().Reset()
-		}
-		c.Barrier()
+		t0 := phase.start(c)
 		xl := make([]float64, (hi-lo)*k)
 		bs, err := DistCGBatch(c, op, b[lo*k:hi*k], xl, &distJacobiBatch{inv: jac.InvDiag[lo:hi]}, k, opt, nil)
 		if err != nil {
 			return err
 		}
+		phase.stop(c, t0)
 		if c.Rank() == 0 {
 			bst = bs
 		}
@@ -246,7 +270,7 @@ func distBatchSolve(t *testing.T, a *sparse.CSR, b []float64, k, nranks int, opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	return x, bst, w.Meter()
+	return x, bst, phase.total()
 }
 
 // The distributed batch is bit-identical per column to scalar DistCG for
@@ -271,19 +295,17 @@ func TestDistCGBatchMeteredAndBitwise(t *testing.T) {
 		// Scalar reference solve of the one RHS, metered.
 		want := make([]float64, n)
 		var wantSt Stats
-		w, err := simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
+		phase := make(solvePhase, nranks)
+		_, err := simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
 			lo, hi := l.Range(c.Rank())
 			op := distmat.NewOp(c, l, lo, hi, distmat.ExtractLocalRows(a, lo, hi))
-			c.Barrier()
-			if c.Rank() == 0 {
-				c.Meter().Reset()
-			}
-			c.Barrier()
+			t0 := phase.start(c)
 			xl := make([]float64, hi-lo)
 			st, err := DistCG(c, op, rhs[lo:hi], xl, &distJacobi{inv: jac.InvDiag[lo:hi]}, opt, nil)
 			if err != nil {
 				return err
 			}
+			phase.stop(c, t0)
 			if c.Rank() == 0 {
 				wantSt = st
 			}
@@ -293,15 +315,14 @@ func TestDistCGBatchMeteredAndBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s scalar: %v", variant, err)
 		}
-		solo := w.Meter().Snapshot()
+		solo := phase.total()
 
 		// Batched solve of the same RHS duplicated k times.
 		dup := make([][]float64, k)
 		for c := range dup {
 			dup[c] = rhs
 		}
-		x, bst, meter := distBatchSolve(t, a, packRHS(dup, k), k, nranks, opt)
-		batch := meter.Snapshot()
+		x, bst, batch := distBatchSolve(t, a, packRHS(dup, k), k, nranks, opt)
 
 		for c := 0; c < k; c++ {
 			got := make([]float64, n)

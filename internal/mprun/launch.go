@@ -40,7 +40,7 @@ func (w *worker) send(m coordMsg) error {
 // within a grace period still report partial outcomes (Canceled set), after
 // which any stragglers are killed. The returned error is the lowest-rank
 // failure, if any.
-func Launch(ctx context.Context, size int, timeout time.Duration, jobFor func(rank int) *JobSpec) ([]*RankOutcome, error) {
+func Launch(ctx context.Context, size int, timeout time.Duration, specFor func(rank int) *Spec) ([]*RankOutcome, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("mprun: size %d < 1", size)
 	}
@@ -117,7 +117,7 @@ func Launch(ctx context.Context, size int, timeout time.Duration, jobFor func(ra
 	}()
 
 	for r, w := range workers {
-		if err := w.send(coordMsg{Start: &startMsg{Addrs: addrs, Timeout: timeout, Job: jobFor(r)}}); err != nil {
+		if err := w.send(coordMsg{Start: &startMsg{Addrs: addrs, Timeout: timeout, Job: specFor(r)}}); err != nil {
 			return nil, fmt.Errorf("mprun: starting rank %d: %w", r, err)
 		}
 	}

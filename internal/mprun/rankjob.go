@@ -14,20 +14,186 @@ import (
 	"fsaicomm/internal/simmpi"
 )
 
-// RunJob dispatches a job envelope to its runner.
-func RunJob(ctx context.Context, c *simmpi.Comm, job *JobSpec) (*RankOutcome, error) {
-	switch {
-	case job.Solve != nil:
-		return RunSolveRank(ctx, c, job.Solve)
-	case job.Prepared != nil:
-		return RunPreparedRank(ctx, c, job.Prepared, nil)
-	case job.SolveBatch != nil:
-		return RunSolveBatchRank(ctx, c, job.SolveBatch)
-	case job.PreparedBatch != nil:
-		return RunPreparedBatchRank(ctx, c, job.PreparedBatch)
-	default:
-		return nil, fmt.Errorf("mprun: empty job spec")
+// Setup builds this rank's setup parts: extract the local rows of the
+// permuted matrix, build the preconditioner, localize A, and capture every
+// operator's halo schedule. Collective: every rank calls it with the same
+// build. Prepare and the full-solve rank job both run exactly this, so a
+// prepared system and a full solve share their setup bit for bit.
+func Setup(c *simmpi.Comm, b *Build) (*Parts, error) {
+	layout := &distmat.Layout{N: b.PA.Rows, Offsets: b.Offsets}
+	lo, hi := layout.Range(c.Rank())
+	aRows := distmat.ExtractLocalRows(b.PA, lo, hi)
+	bd, err := core.BuildPrecond(c, layout, aRows, b.Cfg)
+	if err != nil {
+		return nil, err
 	}
+	p := &Parts{
+		Lo: lo, Hi: hi,
+		A:         partOf(distmat.NewOp(c, layout, lo, hi, aRows)),
+		Pct:       bd.PctNNZIncrease,
+		Imbalance: bd.ImbalanceIndex,
+	}
+	if bd.MOp != nil {
+		p.M = partOf(bd.MOp)
+	} else {
+		p.G, p.GT = partOf(bd.GOp), partOf(bd.GTOp)
+	}
+	return p, nil
+}
+
+func partOf(op *distmat.Op) Part {
+	return Part{LZ: op.LZ, Send: op.Plan.SendPeers, Recv: op.Plan.RecvPeers, Counts: op.Plan.NeedCounts()}
+}
+
+// op derives a private per-solve operator from the part with no
+// communication: the shared localized view plus a fresh halo plan over the
+// shipped schedule. Flat worlds (or schedules without need counts) get the
+// flat plan; topology worlds a node-aware plan derived from the need counts,
+// downgraded to the flat baseline under noAgg.
+func (p *Part) op(c *simmpi.Comm, noAgg bool, opts []distmat.OpOption) *distmat.Op {
+	topo := c.Topology()
+	if topo.Flat() || p.Counts == nil {
+		return distmat.NewOpFromParts(p.LZ, distmat.NewHaloPlanFromSchedule(p.Send, p.Recv), opts...)
+	}
+	plan := distmat.NewHaloPlanFromScheduleTopo(p.Send, p.Recv, p.Counts, c.Rank(), topo)
+	if noAgg {
+		plan.SetNodeAware(false)
+	}
+	return distmat.NewOpFromParts(p.LZ, plan, opts...)
+}
+
+// Run executes one rank of a distributed solve — full or prepared, scalar
+// or batched — in four steps: get the setup parts, derive the per-solve
+// operators from them, run the Krylov loop, and fold the outcome. It is the
+// single implementation behind both backends: the facade's goroutine ranks
+// and the fsairank worker processes call exactly this. ws may carry a
+// pooled workspace (nil allocates a fresh one).
+//
+// ctx must be non-nil and the same "all ranks or none" choice on every rank:
+// the loops poll it through a per-iteration collective verdict, which is
+// itself a collective every rank must enter.
+func Run(ctx context.Context, c *simmpi.Comm, spec *Spec, ws *krylov.Workspace) (*RankOutcome, error) {
+	rank := c.Rank()
+	prof, err := profileFor(spec.Arch)
+	if err != nil {
+		return nil, err
+	}
+	gmres := spec.Solver == krylov.SolverGMRES
+	if gmres && spec.K > 0 {
+		return nil, fmt.Errorf("mprun: batched solves support the CG family only")
+	}
+
+	// 1. The setup parts: built here for a full solve, ready-made otherwise.
+	// One barrier then separates the phases: traffic up to and including it
+	// is "setup", everything after is "solve". Phase attribution needs no
+	// meter reset (and hence no cross-rank reset race): each rank's counters
+	// are charged synchronously on its own goroutine, so snapshot deltas are
+	// exact and deterministic on every backend.
+	t0 := time.Now()
+	parts := spec.Parts
+	var setupNanos int64
+	if spec.Build != nil {
+		if parts, err = Setup(c, spec.Build); err != nil {
+			return nil, err
+		}
+		c.Barrier()
+		setupNanos = time.Since(t0).Nanoseconds()
+	}
+	if parts == nil {
+		return nil, fmt.Errorf("mprun: spec carries neither a build nor parts")
+	}
+	out := &RankOutcome{
+		Rank: rank, Lo: parts.Lo, Hi: parts.Hi,
+		SetupComm:  c.Meter().RankSnapshot(rank),
+		SetupNanos: setupNanos,
+	}
+	if rank == 0 {
+		out.Pct, out.Imbalance = parts.Pct, parts.Imbalance
+	}
+
+	// 2. Per-solve operators from the parts alone. The communication-hiding
+	// scalar variants get overlap views (the batched loops use the blocking
+	// schedule only); FP32 narrows the factor operators (the float32 value
+	// copy is cached on the shared Localized, built once across solves).
+	nl := parts.Hi - parts.Lo
+	var opts []distmat.OpOption
+	if spec.K == 0 && spec.Variant != krylov.CGClassic {
+		opts = append(opts, distmat.WithOverlap())
+	}
+	aOp := parts.A.op(c, spec.NoNodeAggregation, opts)
+	var gOp, gtOp, mOp *distmat.Op
+	if gmres {
+		mOp = parts.M.op(c, spec.NoNodeAggregation, opts)
+		out.Cost = experiments.AssembleSPAIGMRESIterCost(prof, aOp, mOp, nl, c.Size(), spec.Restart)
+	} else {
+		gOp = parts.G.op(c, spec.NoNodeAggregation, opts)
+		gtOp = parts.GT.op(c, spec.NoNodeAggregation, opts)
+		if spec.Precision == krylov.FP32 {
+			gOp.SetF32(true)
+			gtOp.SetF32(true)
+		}
+		out.Cost = experiments.AssembleIterCost(prof, aOp, gOp, gtOp, nl, c.Size(), spec.Variant)
+	}
+	// aInner is the float32 twin of A for the refinement loops' inner
+	// solves: it shares aOp's localized matrix but clones the plan, so the
+	// inner halo runs half-width while aOp keeps the full-width schedule for
+	// the outer FP64 residual. The clone keeps the plan's routing.
+	aInner := func() *distmat.Op {
+		inner := distmat.NewOpFromParts(aOp.LZ, aOp.Plan.Clone(), opts...)
+		inner.SetF32(true)
+		return inner
+	}
+
+	// 3. The Krylov loop. Each rank gets its own workspace; workspaces must
+	// never be shared between concurrent solves.
+	if ws == nil {
+		ws = &krylov.Workspace{}
+	}
+	opt := krylov.Options{Tol: spec.Tol, MaxIter: spec.MaxIter,
+		Variant: spec.Variant, Restart: spec.Restart,
+		Work:                 ws,
+		Trace:                spec.Trace,
+		ResidualReplaceEvery: spec.ResidualReplaceEvery,
+		Ctx:                  ctx}
+	out.XLocal = make([]float64, nl*max(spec.K, 1))
+	t1 := time.Now()
+	var st krylov.Stats
+	switch {
+	case spec.K > 0:
+		var bs krylov.BatchStats
+		m := krylov.NewDistSplitBatch(gOp, gtOp, spec.K)
+		if spec.Precision == krylov.FP32 {
+			bs, err = krylov.DistCGBatchRefined(c, aOp, aInner(), spec.B, out.XLocal, m, spec.K, opt, nil)
+		} else {
+			bs, err = krylov.DistCGBatch(c, aOp, spec.B, out.XLocal, m, spec.K, opt, nil)
+		}
+		st = krylov.Stats{Iterations: bs.Iterations, Refinements: bs.Refinements}
+		out.Batch = newBatchOutcome(bs)
+	case gmres:
+		st, err = krylov.DistGMRES(c, aOp, spec.B, out.XLocal, krylov.NewDistMatPrecond(mOp), opt, nil)
+	case spec.Precision == krylov.FP32:
+		st, err = krylov.DistCGRefined(c, aOp, aInner(), spec.B, out.XLocal, krylov.NewDistSplit(gOp, gtOp), opt, nil)
+	default:
+		st, err = krylov.DistCG(c, aOp, spec.B, out.XLocal, krylov.NewDistSplit(gOp, gtOp), opt, nil)
+	}
+
+	// 4. The outcome. Non-convergence, cancellation and breakdown are
+	// results, not failures: the partial iterate comes back with the flags.
+	canceled := errors.Is(err, krylov.ErrCanceled)
+	broken := errors.Is(err, krylov.ErrBreakdown)
+	if err != nil && !errors.Is(err, krylov.ErrNoConvergence) && !canceled && !broken {
+		return nil, err
+	}
+	out.SolveNanos = time.Since(t1).Nanoseconds()
+	out.SolveComm = c.Meter().RankSnapshot(rank).Sub(out.SetupComm)
+	out.Iterations = st.Iterations
+	out.Converged = st.Converged
+	out.RelResidual = st.RelResidual
+	out.Canceled = canceled
+	out.Broken = broken
+	out.Refinements = st.Refinements
+	out.Trace = st.Trace
+	return out, nil
 }
 
 func profileFor(arch string) (archmodel.Profile, error) {
@@ -35,223 +201,4 @@ func profileFor(arch string) (archmodel.Profile, error) {
 		return archmodel.Skylake, nil
 	}
 	return archmodel.ByName(arch)
-}
-
-// preparedPlan rebuilds a halo plan from a prepared schedule under the
-// communicator's topology: flat worlds (or schedules predating need-count
-// capture) get the historical flat plan; topology worlds get a node-aware
-// plan derived from the shipped need counts, downgraded to the flat baseline
-// when the spec asks for no aggregation.
-func preparedPlan(c *simmpi.Comm, spec *PreparedRankSpec, send, recv [][]int, counts []int64) *distmat.HaloPlan {
-	topo := c.Topology()
-	if topo.Flat() || counts == nil {
-		return distmat.NewHaloPlanFromSchedule(send, recv)
-	}
-	p := distmat.NewHaloPlanFromScheduleTopo(send, recv, counts, c.Rank(), topo)
-	if spec.NoNodeAggregation {
-		p.SetNodeAware(false)
-	}
-	return p
-}
-
-// mixedAInner derives the float32 inner operator of a mixed-precision solve:
-// it shares aOp's localized matrix (whose float32 view is built lazily) but
-// clones the plan, so the inner halo runs half-width while aOp keeps the
-// full-width schedule for the outer FP64 residual. The clone preserves the
-// plan's node-awareness, so NoNodeAggregation and topology routing carry
-// over unchanged.
-func mixedAInner(aOp *distmat.Op, variant krylov.CGVariant) *distmat.Op {
-	var opts []distmat.OpOption
-	if variant != krylov.CGClassic {
-		opts = append(opts, distmat.WithOverlap())
-	}
-	inner := distmat.NewOpFromParts(aOp.LZ, aOp.Plan.Clone(), opts...)
-	inner.SetF32(true)
-	return inner
-}
-
-// runDistSolve runs one rank's scalar distributed solve at the requested
-// precision: FP64 is the plain DistCG loop; FP32 runs DistCG as the inner
-// solve of the FP64 iterative-refinement loop, with the factor operators
-// (already narrowed by the caller) and a float32 twin of the A operator.
-func runDistSolve(c *simmpi.Comm, aOp, gOp, gtOp *distmat.Op, b, x []float64, opt krylov.Options, prec krylov.Precision) (krylov.Stats, error) {
-	m := krylov.NewDistSplit(gOp, gtOp)
-	if prec != krylov.FP32 {
-		return krylov.DistCG(c, aOp, b, x, m, opt, nil)
-	}
-	return krylov.DistCGRefined(c, aOp, mixedAInner(aOp, opt.Variant), b, x, m, opt, nil)
-}
-
-// RunSolveRank executes one rank of a full SolveDistributed: extract local
-// rows, build the preconditioner, assemble the operators, run distributed
-// CG. It is the single implementation behind both backends — the facade's
-// goroutine ranks and the fsairank worker processes call exactly this.
-//
-// ctx must be non-nil and the same "all ranks or none" choice on every rank:
-// the CG loop polls it through a per-iteration collective verdict, which is
-// itself a collective every rank must enter.
-func RunSolveRank(ctx context.Context, c *simmpi.Comm, spec *SolveSpec) (*RankOutcome, error) {
-	rank := c.Rank()
-	prof, err := profileFor(spec.Arch)
-	if err != nil {
-		return nil, err
-	}
-	layout := &distmat.Layout{N: spec.N, Offsets: spec.Offsets}
-	lo, hi := layout.Range(rank)
-	t0 := time.Now()
-	aRows := distmat.ExtractLocalRows(spec.PA, lo, hi)
-	bd, err := core.BuildPrecond(c, layout, aRows, spec.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	gmres := spec.Solver == krylov.SolverGMRES
-	var aOpts []distmat.OpOption
-	if spec.Variant != krylov.CGClassic {
-		aOpts = append(aOpts, distmat.WithOverlap())
-	}
-	aOp := distmat.NewOp(c, layout, lo, hi, aRows, aOpts...)
-	if spec.NoNodeAggregation {
-		// Baseline mode: keep the flat per-rank schedule under the declared
-		// topology, so the meter still classifies intra vs inter traffic but
-		// nothing is aggregated — the comparison plan for BENCH_nodeaware.
-		aOp.Plan.SetNodeAware(false)
-		if gmres {
-			bd.MOp.Plan.SetNodeAware(false)
-		} else {
-			bd.GOp.Plan.SetNodeAware(false)
-			bd.GTOp.Plan.SetNodeAware(false)
-		}
-	}
-	var cost experiments.IterCostInputs
-	if gmres {
-		cost = experiments.AssembleSPAIGMRESIterCost(prof, aOp, bd.MOp, hi-lo, spec.Ranks, spec.Restart)
-	} else {
-		cost = experiments.AssembleIterCost(prof, aOp, bd.GOp, bd.GTOp, hi-lo, spec.Ranks, spec.Variant)
-	}
-	// One barrier separates the phases: traffic up to and including it is
-	// "setup", everything after is "solve". Phase attribution needs no meter
-	// reset (and hence no cross-rank reset race): each rank's counters are
-	// charged synchronously on its own goroutine, so snapshot deltas are
-	// exact and deterministic on every backend.
-	c.Barrier()
-	setupComm := c.Meter().RankSnapshot(rank)
-	out := &RankOutcome{
-		Rank: rank, Lo: lo, Hi: hi,
-		Cost:       cost,
-		SetupComm:  setupComm,
-		SetupNanos: time.Since(t0).Nanoseconds(),
-	}
-	if rank == 0 {
-		out.Pct = bd.PctNNZIncrease
-		out.Imbalance = bd.ImbalanceIndex
-	}
-	t1 := time.Now()
-	xl := make([]float64, hi-lo)
-	// Each rank gets its own Workspace; workspaces must never be shared
-	// between concurrent solves. BuildPrecond already narrowed GOp/GTOp under
-	// Cfg.Precision FP32.
-	opt := krylov.Options{Tol: spec.Tol, MaxIter: spec.MaxIter,
-		Variant: spec.Variant, Restart: spec.Restart,
-		Work:                 &krylov.Workspace{},
-		Trace:                spec.Trace,
-		ResidualReplaceEvery: spec.ResidualReplaceEvery,
-		Ctx:                  ctx}
-	var st krylov.Stats
-	if gmres {
-		st, err = krylov.DistGMRES(c, aOp, spec.PB[lo:hi], xl, krylov.NewDistMatPrecond(bd.MOp), opt, nil)
-	} else {
-		st, err = runDistSolve(c, aOp, bd.GOp, bd.GTOp, spec.PB[lo:hi], xl, opt, spec.Cfg.Precision)
-	}
-	canceled := errors.Is(err, krylov.ErrCanceled)
-	broken := errors.Is(err, krylov.ErrBreakdown)
-	if err != nil && !errors.Is(err, krylov.ErrNoConvergence) && !canceled && !broken {
-		return nil, err
-	}
-	out.SolveNanos = time.Since(t1).Nanoseconds()
-	out.SolveComm = c.Meter().RankSnapshot(rank).Sub(setupComm)
-	out.XLocal = xl
-	out.Iterations = st.Iterations
-	out.Converged = st.Converged
-	out.RelResidual = st.RelResidual
-	out.Canceled = canceled
-	out.Broken = broken
-	out.Refinements = st.Refinements
-	out.Trace = st.Trace
-	return out, nil
-}
-
-// RunPreparedRank executes one rank of a Prepared.Solve: the localized views
-// and halo schedules come ready-made in the spec, so the rank performs no
-// setup communication and pays only the Krylov loop. ws may carry a pooled
-// workspace (nil allocates a fresh one).
-func RunPreparedRank(ctx context.Context, c *simmpi.Comm, spec *PreparedRankSpec, ws *krylov.Workspace) (*RankOutcome, error) {
-	rank := c.Rank()
-	prof, err := profileFor(spec.Arch)
-	if err != nil {
-		return nil, err
-	}
-	gmres := spec.Solver == krylov.SolverGMRES
-	var opOpts []distmat.OpOption
-	if spec.Variant != krylov.CGClassic {
-		opOpts = append(opOpts, distmat.WithOverlap())
-	}
-	aOp := distmat.NewOpFromParts(spec.ALZ, preparedPlan(c, spec, spec.ASend, spec.ARecv, spec.ACounts), opOpts...)
-	var gOp, gtOp, mOp *distmat.Op
-	var cost experiments.IterCostInputs
-	if gmres {
-		mOp = distmat.NewOpFromParts(spec.MLZ, preparedPlan(c, spec, spec.MSend, spec.MRecv, spec.MCounts))
-		cost = experiments.AssembleSPAIGMRESIterCost(prof, aOp, mOp, spec.Hi-spec.Lo, spec.Ranks, spec.Restart)
-	} else {
-		gOp = distmat.NewOpFromParts(spec.GLZ, preparedPlan(c, spec, spec.GSend, spec.GRecv, spec.GCounts), opOpts...)
-		gtOp = distmat.NewOpFromParts(spec.GTLZ, preparedPlan(c, spec, spec.GTSend, spec.GTRecv, spec.GTCounts), opOpts...)
-		if spec.Precision == krylov.FP32 {
-			// The prepared factor views ship in FP64; narrow the rank-private
-			// operators (the float32 value copy is cached on the shared Localized,
-			// built once across solves).
-			gOp.SetF32(true)
-			gtOp.SetF32(true)
-		}
-		cost = experiments.AssembleIterCost(prof, aOp, gOp, gtOp, spec.Hi-spec.Lo, spec.Ranks, spec.Variant)
-	}
-	setupComm := c.Meter().RankSnapshot(rank)
-	// SetupNanos stays 0: a prepared solve's contract is that setup was paid
-	// once in Prepare, and the facade reports SetupTime 0 accordingly.
-	out := &RankOutcome{
-		Rank: rank, Lo: spec.Lo, Hi: spec.Hi,
-		Cost:      cost,
-		SetupComm: setupComm,
-	}
-	if ws == nil {
-		ws = &krylov.Workspace{}
-	}
-	t1 := time.Now()
-	xl := make([]float64, spec.Hi-spec.Lo)
-	opt := krylov.Options{Tol: spec.Tol, MaxIter: spec.MaxIter,
-		Variant: spec.Variant, Restart: spec.Restart,
-		Work:                 ws,
-		Trace:                spec.Trace,
-		ResidualReplaceEvery: spec.ResidualReplaceEvery,
-		Ctx:                  ctx}
-	var st krylov.Stats
-	if gmres {
-		st, err = krylov.DistGMRES(c, aOp, spec.BLocal, xl, krylov.NewDistMatPrecond(mOp), opt, nil)
-	} else {
-		st, err = runDistSolve(c, aOp, gOp, gtOp, spec.BLocal, xl, opt, spec.Precision)
-	}
-	canceled := errors.Is(err, krylov.ErrCanceled)
-	broken := errors.Is(err, krylov.ErrBreakdown)
-	if err != nil && !errors.Is(err, krylov.ErrNoConvergence) && !canceled && !broken {
-		return nil, err
-	}
-	out.SolveNanos = time.Since(t1).Nanoseconds()
-	out.SolveComm = c.Meter().RankSnapshot(rank).Sub(setupComm)
-	out.XLocal = xl
-	out.Iterations = st.Iterations
-	out.Converged = st.Converged
-	out.RelResidual = st.RelResidual
-	out.Canceled = canceled
-	out.Broken = broken
-	out.Refinements = st.Refinements
-	out.Trace = st.Trace
-	return out, nil
 }

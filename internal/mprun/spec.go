@@ -1,12 +1,17 @@
 // Package mprun runs one rank's share of a distributed solve — the "rank
-// job" — identically under both transport backends. The facade's in-process
-// path calls RunSolveRank/RunPreparedRank directly from goroutine ranks; the
-// multi-process path ships a gob-encoded spec to fsairank worker processes
-// (spawned by Launch, self-hosted by any binary that calls MaybeWorker)
-// whose TCP mesh communicator runs the very same function. One code path on
-// both sides is what makes the cross-backend differential tests meaningful:
-// any divergence in results or meter structure is the transport's fault, not
-// a drifted reimplementation of the solve.
+// job" — identically under both transport backends. There is one job, Run,
+// over one spec type, Spec: full and prepared, scalar and batched solves
+// differ only in the spec's fields. A spec with a Build part makes every
+// rank build its setup parts in the job (Setup, the same function Prepare
+// runs); a spec with ready-made Parts skips straight to the Krylov loop; K
+// selects the scalar (0) or batched (≥ 1) loops. The facade's in-process
+// path calls Run from goroutine ranks; the multi-process path ships the
+// gob-encoded spec to fsairank worker processes (spawned by Launch,
+// self-hosted by any binary that calls MaybeWorker) whose TCP mesh
+// communicator runs the very same function. One code path on both sides is
+// what makes the cross-backend differential tests meaningful: any divergence
+// in results or meter structure is the transport's fault, not a drifted
+// reimplementation of the solve.
 package mprun
 
 import (
@@ -18,26 +23,23 @@ import (
 	"fsaicomm/internal/sparse"
 )
 
-// SolveSpec is the full-setup rank job: partitioned matrix in, solution
-// slice out. Every rank receives the same spec (the permuted matrix and
-// right-hand side are small at this reproduction's scale; each rank extracts
-// its own rows) — what varies per rank is only the rank itself.
-type SolveSpec struct {
-	// N is the system dimension; Ranks the world size; Offsets the layout
-	// row offsets (len Ranks+1).
-	N       int
-	Ranks   int
-	Offsets []int
-	// PA and PB are the partition-permuted matrix and right-hand side.
-	PA *sparse.CSR
-	PB []float64
-	// Cfg shapes the preconditioner build; Cfg.Precision also selects the
-	// solve's precision (FP32 runs the iterative-refinement loop).
-	Cfg core.Config
-	// Solver knobs (krylov.Options subset; the workspace is per-rank local).
-	// Solver selects the Krylov loop: CG (the FSAI family) or restarted
-	// GMRES with the Restart cycle length (the SPAI method; the adaptive
-	// knobs ride in Cfg).
+// Spec is one rank's job. Exactly one of Build and Parts is set.
+type Spec struct {
+	// Build makes the rank build its setup parts inside the job (a full
+	// solve); Parts are this rank's parts built earlier by Prepare.
+	Build *Build
+	Parts *Parts
+	// K = 0 runs the scalar loops; K ≥ 1 runs the batched CG loop over K
+	// columns at once.
+	K int
+	// B is this rank's rows of the partition-permuted right-hand side; for
+	// K ≥ 1 the interleaved (Hi−Lo)×K block (B[i*K+c] = row i of column c).
+	B []float64
+	// Per-solve knobs (a krylov.Options subset; the workspace is per-rank
+	// local). Solver selects the Krylov loop: CG (the FSAI family) or
+	// restarted GMRES with the Restart cycle length (the SPAI method).
+	// Precision FP32 narrows the factor operators and runs the FP64
+	// iterative-refinement loop around the CG solve.
 	Solver               krylov.Solver
 	Restart              int
 	Tol                  float64
@@ -45,92 +47,59 @@ type SolveSpec struct {
 	Variant              krylov.CGVariant
 	Trace                bool
 	ResidualReplaceEvery int
+	Precision            krylov.Precision
 	// Arch names the cost-model profile ("" = skylake).
 	Arch string
 	// Nodes/RanksPerNode declare the two-level topology (0/0 = flat); when a
 	// multi-rank topology is in play the halo plans aggregate cross-node
 	// traffic per node pair unless NoNodeAggregation keeps the flat per-rank
 	// schedule (the metered baseline the node-aware benchmarks compare to).
+	// Prepared parts serve any topology: the relay schedule derives from the
+	// need counts captured at setup, with zero extra communication.
 	Nodes, RanksPerNode int
 	NoNodeAggregation   bool
 }
 
-// PreparedRankSpec is the cached-setup rank job: the localized matrix and
-// factor views plus halo schedules built once by Prepare, shipped (or, in
-// process, shared) so the rank pays only the Krylov loop. Unlike SolveSpec
-// it is per-rank: each rank gets exactly its own share.
-type PreparedRankSpec struct {
-	N       int
-	Ranks   int
+// Build is the setup input of a full solve: the partition-permuted matrix
+// (every rank receives all of it and extracts its own rows; it is small at
+// this reproduction's scale), the layout row offsets (len ranks+1) and the
+// preconditioner build config.
+type Build struct {
+	PA      *sparse.CSR
 	Offsets []int
-	Lo, Hi  int
-	// Localized views (read-only during solves). GLZ/GTLZ carry the FSAI
-	// factor pair for CG solves; MLZ carries the explicit SPAI inverse for
-	// GMRES solves (the unused set is nil).
-	ALZ, GLZ, GTLZ *distmat.Localized
-	MLZ            *distmat.Localized
-	// Halo-plan schedules as plain index lists (see
-	// distmat.NewHaloPlanFromSchedule) plus the need-count matrices captured
-	// at Prepare time, from which a per-solve topology's node-aware relay
-	// schedule is derived with zero extra communication.
-	ASend, ARecv   [][]int
-	GSend, GRecv   [][]int
-	GTSend, GTRecv [][]int
-	MSend, MRecv   [][]int
-	ACounts        []int64
-	GCounts        []int64
-	GTCounts       []int64
-	MCounts        []int64
-	// BLocal is this rank's slice of the permuted right-hand side.
-	BLocal []float64
-	// Informational, for the result assembly.
-	Pct, Imbalance float64
-	// Solver knobs (Solver/Restart as in SolveSpec).
-	Solver               krylov.Solver
-	Restart              int
-	Tol                  float64
-	MaxIter              int
-	Variant              krylov.CGVariant
-	Trace                bool
-	ResidualReplaceEvery int
-	Arch                 string
-	// Precision selects the solve's value width: FP32 narrows the shipped
-	// factor views locally and runs the iterative-refinement loop.
-	Precision krylov.Precision
-	// Per-solve topology (see SolveSpec): a cached prepared system can be
-	// solved under any node grouping without redoing the setup exchange.
-	Nodes, RanksPerNode int
-	NoNodeAggregation   bool
+	Cfg     core.Config
 }
 
-// JobSpec is the envelope a worker process receives: exactly one of the
-// job kinds is set.
-type JobSpec struct {
-	Solve         *SolveSpec
-	Prepared      *PreparedRankSpec
-	SolveBatch    *SolveBatchSpec
-	PreparedBatch *PreparedBatchSpec
+// Parts is one rank's share of a set-up system: everything the Krylov loop
+// needs that is paid once. The localized views are read-only during solves
+// and may be shared by concurrent solves; each solve wraps the schedules in
+// private halo plans.
+type Parts struct {
+	Lo, Hi int
+	// A is the system matrix; G and GT the FSAI factor pair of CG systems;
+	// M the explicit SPAI inverse of GMRES systems (the unused set is zero).
+	A, G, GT, M Part
+	// Build metrics, identical on every rank.
+	Pct, Imbalance float64
+}
+
+// Part is one distributed operator's share: its localized rows plus its
+// halo schedule as plain index lists (see distmat.NewHaloPlanFromSchedule)
+// and the need-count matrix the node-aware relay schedule derives from.
+type Part struct {
+	LZ         *distmat.Localized
+	Send, Recv [][]int
+	Counts     []int64
 }
 
 // Topology resolves the job's declared node grouping against the world
 // size. The zero declaration yields the zero (flat) topology, keeping every
 // pre-topology meter reading bit-identical.
-func (j *JobSpec) Topology(size int) (simmpi.Topology, error) {
-	var nodes, rpn int
-	switch {
-	case j.Solve != nil:
-		nodes, rpn = j.Solve.Nodes, j.Solve.RanksPerNode
-	case j.Prepared != nil:
-		nodes, rpn = j.Prepared.Nodes, j.Prepared.RanksPerNode
-	case j.SolveBatch != nil:
-		nodes, rpn = j.SolveBatch.Nodes, j.SolveBatch.RanksPerNode
-	case j.PreparedBatch != nil && j.PreparedBatch.Prepared != nil:
-		nodes, rpn = j.PreparedBatch.Prepared.Nodes, j.PreparedBatch.Prepared.RanksPerNode
-	}
-	if nodes == 0 && rpn == 0 {
+func (s *Spec) Topology(size int) (simmpi.Topology, error) {
+	if s.Nodes == 0 && s.RanksPerNode == 0 {
 		return simmpi.Topology{}, nil
 	}
-	return simmpi.ResolveTopology(size, nodes, rpn)
+	return simmpi.ResolveTopology(size, s.Nodes, s.RanksPerNode)
 }
 
 // RankOutcome is what one rank's job reports back. The facade assembles the
@@ -139,14 +108,16 @@ func (j *JobSpec) Topology(size int) (simmpi.Topology, error) {
 type RankOutcome struct {
 	Rank   int
 	Lo, Hi int
-	// XLocal is the rank's slice of the (possibly partial) solution.
+	// XLocal is the rank's slice of the (possibly partial) solution; for
+	// batched jobs the interleaved (Hi−Lo)×K block.
 	XLocal []float64
 	// Solver statistics (meaningful on rank 0, which runs the canonical
-	// residual recurrence; other ranks agree by construction).
+	// residual recurrence; other ranks agree by construction). For batched
+	// jobs Iterations is the batch loop's count (the maximum over columns).
 	Iterations  int
 	Converged   bool
 	RelResidual float64
-	// Canceled reports that the CG loop stopped on a context verdict.
+	// Canceled reports that the loop stopped on a context verdict.
 	Canceled bool
 	// Broken reports a solver breakdown (NaN/Inf recurrence or non-SPD
 	// curvature): the loop stopped early, XLocal is the partial iterate.
@@ -155,15 +126,12 @@ type RankOutcome struct {
 	// mixed-precision solve (0 for FP64 solves); Iterations then counts the
 	// total inner iterations across all steps.
 	Refinements int
-	// Pct and Imbalance are the build metrics (rank 0 only; zero for
-	// prepared jobs, whose metrics ride in the spec).
+	// Pct and Imbalance are the build metrics (rank 0 only).
 	Pct, Imbalance float64
 	// Trace is the rank's telemetry when the spec asked for it (rank 0).
 	Trace *krylov.IterTrace
 	// Batch carries the per-column outcomes of a batched job (nil for
-	// scalar jobs). For batched jobs XLocal is the rank's interleaved
-	// (Hi−Lo)×K solution block and Iterations the batch loop's iteration
-	// count (the maximum over columns).
+	// scalar jobs).
 	Batch *BatchOutcome
 	// Cost is the rank's modeled per-iteration cost inputs.
 	Cost experiments.IterCostInputs
@@ -171,6 +139,32 @@ type RankOutcome struct {
 	// phases, taken as RankSnapshot deltas. Summed over ranks they give the
 	// deterministic world totals the differential tests compare bit-for-bit.
 	SetupComm, SolveComm simmpi.Snapshot
-	// SetupNanos and SolveNanos are the rank's wall-clock phase durations.
+	// SetupNanos and SolveNanos are the rank's wall-clock phase durations
+	// (SetupNanos is 0 for prepared parts, whose setup was paid earlier).
 	SetupNanos, SolveNanos int64
+}
+
+// BatchOutcome is the per-column solver outcome of a batched rank job.
+type BatchOutcome struct {
+	K           int
+	Iterations  []int
+	Converged   []bool
+	RelResidual []float64
+	Broken      []bool
+}
+
+func newBatchOutcome(bs krylov.BatchStats) *BatchOutcome {
+	o := &BatchOutcome{
+		K:           bs.K,
+		Iterations:  make([]int, bs.K),
+		Converged:   make([]bool, bs.K),
+		RelResidual: make([]float64, bs.K),
+		Broken:      append([]bool(nil), bs.Broken...),
+	}
+	for c := range bs.Cols {
+		o.Iterations[c] = bs.Cols[c].Iterations
+		o.Converged[c] = bs.Cols[c].Converged
+		o.RelResidual[c] = bs.Cols[c].RelResidual
+	}
+	return o
 }

@@ -42,7 +42,7 @@ type coordMsg struct {
 type startMsg struct {
 	Addrs   []string
 	Timeout time.Duration
-	Job     *JobSpec
+	Job     *Spec
 }
 
 type doneMsg struct {
@@ -133,7 +133,7 @@ func workerMain() error {
 		return err
 	}
 	c := simmpi.NewComm(ep, simmpi.NewMeterTopo(size, topo), start.Timeout)
-	out, jobErr := RunJob(ctx, c, start.Job)
+	out, jobErr := Run(ctx, c, start.Job, nil)
 	if jobErr == nil {
 		// The job's final iteration may have posted nonblocking sends whose
 		// chain goroutines are still flushing; exiting the process before

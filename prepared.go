@@ -6,8 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"fsaicomm/internal/archmodel"
-	"fsaicomm/internal/core"
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/mprun"
@@ -75,19 +73,6 @@ func (o SolveOptions) Validate() error {
 	}.Validate()
 }
 
-// prepRank is one rank's share of a prepared system: the localized matrix
-// and factor views (read-only during solves, shared by every solve) and the
-// halo-plan schedules (cloned per solve; only their send buffers are
-// mutable). CG systems carry the g/gt factor pair, GMRES systems the m
-// inverse; the other set is nil.
-type prepRank struct {
-	lo, hi               int
-	aLZ, gLZ, gtLZ       *distmat.Localized
-	mLZ                  *distmat.Localized
-	aPlan, gPlan, gtPlan *distmat.HaloPlan
-	mPlan                *distmat.HaloPlan
-}
-
 // Prepared is a fully set-up distributed system: partition, permutation,
 // localized matrix, halo-plan schedules and preconditioner factors, built
 // once by Prepare and reusable for any number of Solve calls — including
@@ -97,15 +82,16 @@ type prepRank struct {
 // unit the serving layer caches: one Prepared per (matrix fingerprint,
 // setup options) pair.
 type Prepared struct {
-	n         int
-	ranks     int
-	setupOpt  Options // canonicalized setup options (informational)
-	layout    *distmat.Layout
-	oldToNew  []int
-	parts     []prepRank
-	pct       float64
-	imbalance float64
-	setup     time.Duration
+	n        int
+	ranks    int
+	setupOpt Options // canonicalized setup options (informational)
+	layout   *distmat.Layout
+	oldToNew []int
+	// parts are the per-rank setup parts (localized views read-only during
+	// solves and shared by every solve, plus the halo schedules each solve
+	// wraps in private plans); nil while a full solve builds its own.
+	parts []*mprun.Parts
+	setup time.Duration
 	// pools hold per-rank krylov workspaces so steady-state solves allocate
 	// only the solution vector. Indexed by rank: concurrent solves share the
 	// pools, but a workspace is only ever used by one rank goroutine at a
@@ -125,76 +111,107 @@ func Prepare(a *Matrix, opt Options) (*Prepared, error) {
 	if err := checkInputMatrix(a, opt.Solver); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults(a.Rows)
-	ranks := AutoRanks(a, opt.Ranks)
-	if ranks < 1 {
-		return nil, fmt.Errorf("fsaicomm: ranks %d < 1", ranks)
-	}
-	opt.Ranks = ranks
-
-	part, err := partitionRows(a, opt, ranks)
+	p, build, err := partitioned(a, opt)
 	if err != nil {
 		return nil, err
 	}
-	pa, layout, oldToNew := distmat.ApplyPartition(a, part, ranks)
-
-	cfg := core.Config{
-		Method:       opt.Method,
-		Filter:       opt.Filter,
-		Strategy:     opt.Strategy,
-		LineBytes:    opt.LineBytes,
-		PatternLevel: opt.PatternLevel,
-		Threshold:    opt.Threshold,
-		Workers:      opt.Workers,
-		SPAISteps:    opt.SPAISteps,
-		SPAIAdd:      opt.SPAIAdd,
-		SPAIEpsilon:  opt.SPAIEpsilon,
-		// The CG variant is chosen per solve; overlap views are built
-		// lazily (and locally) on the per-solve operators, so the setup
-		// builds the blocking schedule only. Precision is likewise applied
-		// per solve (the rank job narrows its private operators; the float32
-		// value view is cached on the shared Localized), so the build stays
-		// the plain FP64 one.
-		CGVariant: CGClassic,
+	p.parts = make([]*mprun.Parts, p.ranks)
+	if _, err := simmpi.Run(p.ranks, time.Hour, func(c *simmpi.Comm) error {
+		parts, err := mprun.Setup(c, build)
+		p.parts[c.Rank()] = parts
+		return err
+	}); err != nil {
+		return nil, err
 	}
+	p.setup = time.Since(t0)
+	return p, nil
+}
+
+// partitioned is the part of the setup that runs before any rank does:
+// resolve the defaults and the rank count, partition A and permute it. It
+// returns the system without its per-rank parts plus the build they are
+// made from.
+func partitioned(a *Matrix, opt Options) (*Prepared, *mprun.Build, error) {
+	opt = opt.withDefaults(a.Rows)
+	opt.Ranks = AutoRanks(a, opt.Ranks)
+	if opt.Ranks < 1 {
+		return nil, nil, fmt.Errorf("fsaicomm: ranks %d < 1", opt.Ranks)
+	}
+	part, err := partitionRows(a, opt, opt.Ranks)
+	if err != nil {
+		return nil, nil, err
+	}
+	pa, layout, oldToNew := distmat.ApplyPartition(a, part, opt.Ranks)
 	p := &Prepared{
 		n:        a.Rows,
-		ranks:    ranks,
+		ranks:    opt.Ranks,
 		setupOpt: opt,
 		layout:   layout,
 		oldToNew: oldToNew,
-		parts:    make([]prepRank, ranks),
-		pools:    make([]sync.Pool, ranks),
-	}
-	if _, err := simmpi.Run(ranks, time.Hour, func(c *simmpi.Comm) error {
-		lo, hi := layout.Range(c.Rank())
-		aRows := distmat.ExtractLocalRows(pa, lo, hi)
-		bd, err := core.BuildPrecond(c, layout, aRows, cfg)
-		if err != nil {
-			return err
-		}
-		aOp := distmat.NewOp(c, layout, lo, hi, aRows)
-		pr := prepRank{lo: lo, hi: hi, aLZ: aOp.LZ, aPlan: aOp.Plan}
-		if opt.Method == SPAI {
-			pr.mLZ, pr.mPlan = bd.MOp.LZ, bd.MOp.Plan
-		} else {
-			pr.gLZ, pr.gtLZ = bd.GOp.LZ, bd.GTOp.LZ
-			pr.gPlan, pr.gtPlan = bd.GOp.Plan, bd.GTOp.Plan
-		}
-		p.parts[c.Rank()] = pr
-		if c.Rank() == 0 {
-			p.pct = bd.PctNNZIncrease
-			p.imbalance = bd.ImbalanceIndex
-		}
-		return nil
-	}); err != nil {
-		return nil, err
+		pools:    make([]sync.Pool, opt.Ranks),
 	}
 	for i := range p.pools {
 		p.pools[i].New = func() any { return &krylov.Workspace{} }
 	}
-	p.setup = time.Since(t0)
-	return p, nil
+	return p, &mprun.Build{PA: pa, Offsets: layout.Offsets, Cfg: buildConfig(opt)}, nil
+}
+
+// run executes one solve on p's partition through the single rank job, on
+// the transport so selects. With build set every rank builds its setup
+// parts inside the job (a full solve); otherwise it takes p.parts. k = 0
+// solves rhs[0] with the scalar loops, k ≥ 1 all k columns at once with the
+// batched loop.
+func (p *Prepared) run(ctx context.Context, so SolveOptions, build *mprun.Build, rhs [][]float64, k int) ([]*mprun.RankOutcome, error) {
+	topo, err := resolveTopology(p.ranks, so.Nodes, so.RanksPerNode)
+	if err != nil {
+		return nil, err
+	}
+	so.Tol, so.MaxIter = solveLimits(so.Tol, so.MaxIter, p.n)
+	restart := p.setupOpt.Restart
+	if so.Restart > 0 {
+		restart = so.Restart
+	}
+	w := len(rhs)
+	pb := packPermuted(rhs, p.oldToNew)
+	spec := func(rank int) *mprun.Spec {
+		lo, hi := p.layout.Range(rank)
+		s := &mprun.Spec{
+			Build: build, K: k, B: pb[lo*w : hi*w],
+			Solver:               p.setupOpt.Solver,
+			Restart:              restart,
+			Tol:                  so.Tol,
+			MaxIter:              so.MaxIter,
+			Variant:              so.CGVariant,
+			Trace:                so.Trace,
+			ResidualReplaceEvery: so.ResidualReplaceEvery,
+			Precision:            p.setupOpt.Precision,
+			Arch:                 so.Arch,
+			Nodes:                topo.Nodes,
+			RanksPerNode:         topo.RanksPerNode,
+			NoNodeAggregation:    so.NoNodeAggregation,
+		}
+		if build == nil {
+			s.Parts = p.parts[rank]
+		}
+		return s
+	}
+	if so.Transport == "tcp" {
+		// Each worker process receives its parts over the wire (or builds
+		// them over the socket mesh) and runs with a fresh workspace, so the
+		// pools stay local.
+		return mprun.Launch(ctx, p.ranks, time.Hour, spec)
+	}
+	outs := make([]*mprun.RankOutcome, p.ranks)
+	if _, err := simmpi.RunTopo(p.ranks, time.Hour, topo, func(c *simmpi.Comm) error {
+		ws := p.pools[c.Rank()].Get().(*krylov.Workspace)
+		defer p.pools[c.Rank()].Put(ws)
+		out, err := mprun.Run(ctx, c, spec(c.Rank()), ws)
+		outs[c.Rank()] = out
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return outs, nil
 }
 
 // Ranks returns the simulated-process count the system was prepared for.
@@ -208,7 +225,7 @@ func (p *Prepared) Rows() int { return p.n }
 func (p *Prepared) SetupTime() time.Duration { return p.setup }
 
 // PctNNZIncrease returns the factor pattern growth versus the FSAI baseline.
-func (p *Prepared) PctNNZIncrease() float64 { return p.pct }
+func (p *Prepared) PctNNZIncrease() float64 { return p.parts[0].Pct }
 
 // Options returns the canonicalized setup options (defaults applied,
 // automatic rank count resolved).
@@ -219,22 +236,23 @@ func (p *Prepared) Options() Options { return p.setupOpt }
 // byte-budget accounting. It ignores small fixed overheads.
 func (p *Prepared) SizeBytes() int64 {
 	var total int64
-	lzBytes := func(lz *distmat.Localized) int64 {
-		if lz == nil {
-			return 0
+	partBytes := func(pt *mprun.Part) int64 {
+		var n int64
+		if lz := pt.LZ; lz != nil {
+			n += int64(len(lz.M.RowPtr) + len(lz.M.ColIdx) + len(lz.M.Val) + len(lz.Halo))
 		}
-		return 8 * int64(len(lz.M.RowPtr)+len(lz.M.ColIdx)+len(lz.M.Val)+len(lz.Halo))
-	}
-	planBytes := func(pl *distmat.HaloPlan) int64 {
-		if pl == nil {
-			return 0
+		// Each non-empty peer list plus its peer ID.
+		for _, lists := range [][][]int{pt.Send, pt.Recv} {
+			for _, l := range lists {
+				if len(l) > 0 {
+					n += int64(len(l) + 1)
+				}
+			}
 		}
-		return 8 * int64(pl.SendCount()+pl.RecvCount()+len(pl.SendPeerIDs())+len(pl.RecvPeerIDs()))
+		return 8 * n
 	}
-	for i := range p.parts {
-		r := &p.parts[i]
-		total += lzBytes(r.aLZ) + lzBytes(r.gLZ) + lzBytes(r.gtLZ) + lzBytes(r.mLZ)
-		total += planBytes(r.aPlan) + planBytes(r.gPlan) + planBytes(r.gtPlan) + planBytes(r.mPlan)
+	for _, r := range p.parts {
+		total += partBytes(&r.A) + partBytes(&r.G) + partBytes(&r.GT) + partBytes(&r.M)
 	}
 	total += 8 * int64(len(p.oldToNew))
 	return total
@@ -255,101 +273,12 @@ func (p *Prepared) Solve(ctx context.Context, b []float64, so SolveOptions) (*Re
 	if len(b) != p.n {
 		return nil, fmt.Errorf("fsaicomm: rhs length %d, want %d", len(b), p.n)
 	}
-	if so.Tol == 0 {
-		so.Tol = 1e-8
-	}
-	if so.MaxIter == 0 {
-		so.MaxIter = 10 * p.n
-		if so.MaxIter < 100 {
-			so.MaxIter = 100
-		}
-	}
-	prof := archmodel.Skylake
-	if so.Arch != "" {
-		var err error
-		if prof, err = archmodel.ByName(so.Arch); err != nil {
-			return nil, fmt.Errorf("fsaicomm: %w", err)
-		}
-	}
-	topo, err := resolveTopology(p.ranks, so.Nodes, so.RanksPerNode)
-	if err != nil {
-		return nil, err
-	}
-
-	gmres := p.setupOpt.Solver == SolverGMRES
-	if gmres && so.CGVariant != CGClassic {
+	if p.setupOpt.Solver == SolverGMRES && so.CGVariant != CGClassic {
 		return nil, fmt.Errorf("%w: this system was prepared for SPAI+GMRES, which has only the classic blocking schedule", ErrInvalidOptions)
 	}
-	restart := p.setupOpt.Restart
-	if so.Restart > 0 {
-		restart = so.Restart
-	}
-	pb := distmat.PermuteVec(b, p.oldToNew)
-	specs := make([]*mprun.PreparedRankSpec, p.ranks)
-	for r := range specs {
-		pr := &p.parts[r]
-		spec := &mprun.PreparedRankSpec{
-			N: p.n, Ranks: p.ranks, Offsets: p.layout.Offsets,
-			Lo: pr.lo, Hi: pr.hi,
-			ALZ: pr.aLZ,
-			// The schedules are read-only [][]int views; the rank job wraps
-			// them in a fresh HaloPlan with private send buffers, which is
-			// what Clone used to provide. The need counts captured at Prepare
-			// time let a declared topology rebuild the node-aware relay
-			// schedule locally.
-			ASend: pr.aPlan.SendPeers, ARecv: pr.aPlan.RecvPeers,
-			ACounts:              pr.aPlan.NeedCounts(),
-			BLocal:               pb[pr.lo:pr.hi],
-			Pct:                  p.pct,
-			Imbalance:            p.imbalance,
-			Solver:               p.setupOpt.Solver,
-			Restart:              restart,
-			Tol:                  so.Tol,
-			MaxIter:              so.MaxIter,
-			Variant:              so.CGVariant,
-			Trace:                so.Trace,
-			ResidualReplaceEvery: so.ResidualReplaceEvery,
-			Arch:                 so.Arch,
-			Precision:            p.setupOpt.Precision,
-			Nodes:                topo.Nodes,
-			RanksPerNode:         topo.RanksPerNode,
-			NoNodeAggregation:    so.NoNodeAggregation,
-		}
-		if gmres {
-			spec.MLZ = pr.mLZ
-			spec.MSend, spec.MRecv = pr.mPlan.SendPeers, pr.mPlan.RecvPeers
-			spec.MCounts = pr.mPlan.NeedCounts()
-		} else {
-			spec.GLZ, spec.GTLZ = pr.gLZ, pr.gtLZ
-			spec.GSend, spec.GRecv = pr.gPlan.SendPeers, pr.gPlan.RecvPeers
-			spec.GTSend, spec.GTRecv = pr.gtPlan.SendPeers, pr.gtPlan.RecvPeers
-			spec.GCounts, spec.GTCounts = pr.gPlan.NeedCounts(), pr.gtPlan.NeedCounts()
-		}
-		specs[r] = spec
-	}
-
-	var outs []*mprun.RankOutcome
-	if so.Transport == "tcp" {
-		// The worker processes receive the localized factors over the wire;
-		// their workspaces are fresh per process, so the pools stay local.
-		outs, err = mprun.Launch(ctx, p.ranks, time.Hour, func(rank int) *mprun.JobSpec {
-			return &mprun.JobSpec{Prepared: specs[rank]}
-		})
-	} else {
-		outs = make([]*mprun.RankOutcome, p.ranks)
-		_, err = simmpi.RunTopo(p.ranks, time.Hour, topo, func(c *simmpi.Comm) error {
-			ws := p.pools[c.Rank()].Get().(*krylov.Workspace)
-			defer p.pools[c.Rank()].Put(ws)
-			out, err := mprun.RunPreparedRank(ctx, c, specs[c.Rank()], ws)
-			if err != nil {
-				return err
-			}
-			outs[c.Rank()] = out
-			return nil
-		})
-	}
+	outs, err := p.run(ctx, so, nil, [][]float64{b}, 0)
 	if err != nil {
 		return nil, err
 	}
-	return assembleDistResult(p.n, p.ranks, prof, so.CGVariant, p.oldToNew, outs, p.pct, p.imbalance)
+	return assembleDistResult(p, so, outs)
 }
