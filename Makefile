@@ -6,12 +6,16 @@ all: tier1
 
 # tier1: the fast correctness gate — full build + gofmt + vet + full test
 # suite. The gofmt step fails (and lists the files) on any formatting diff.
+# perfbench/ is a nested module the root patterns never reach, so it is
+# vetted and tested on its own: its replay drives krylov.DistCG and the
+# split preconditioners directly.
 tier1:
 	$(GO) build ./...
 	@fmt_out="$$(gofmt -l .)"; if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # tier2: race-detector pass over the concurrency-bearing packages (the
 # simulated MPI runtime, the socket transport and the multi-process rank

@@ -240,31 +240,33 @@ func TestSolveBatchCancellation(t *testing.T) {
 	rhs := batchRHS(a, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	br, err := SolveBatchContext(ctx, a, rhs, Options{Ranks: 2})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("SolveBatchContext: got %v, want ErrCanceled", err)
-	}
-	if br == nil || len(br.Cols) != 2 {
-		t.Fatalf("SolveBatchContext: partial result %+v", br)
-	}
-	for c := range br.Cols {
-		if br.Cols[c].Converged {
-			t.Fatalf("col %d converged on a canceled solve", c)
+	for _, prec := range []Precision{FP64, FP32} {
+		br, err := SolveBatchContext(ctx, a, rhs, Options{Ranks: 2, Precision: prec})
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%v SolveBatchContext: got %v, want ErrCanceled", prec, err)
 		}
-		if len(br.Cols[c].X) != a.Rows {
-			t.Fatalf("col %d: partial X length %d", c, len(br.Cols[c].X))
+		if br == nil || len(br.Cols) != 2 {
+			t.Fatalf("%v SolveBatchContext: partial result %+v", prec, br)
 		}
-	}
-	p, err := Prepare(a, Options{Ranks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	br, err = p.SolveBatch(ctx, rhs, SolveOptions{})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Prepared.SolveBatch: got %v, want ErrCanceled", err)
-	}
-	if br == nil || len(br.Cols) != 2 {
-		t.Fatal("Prepared.SolveBatch: no partial result")
+		for c := range br.Cols {
+			if br.Cols[c].Converged {
+				t.Fatalf("%v col %d converged on a canceled solve", prec, c)
+			}
+			if len(br.Cols[c].X) != a.Rows {
+				t.Fatalf("%v col %d: partial X length %d", prec, c, len(br.Cols[c].X))
+			}
+		}
+		p, err := Prepare(a, Options{Ranks: 2, Precision: prec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		br, err = p.SolveBatch(ctx, rhs, SolveOptions{})
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%v Prepared.SolveBatch: got %v, want ErrCanceled", prec, err)
+		}
+		if br == nil || len(br.Cols) != 2 {
+			t.Fatalf("%v Prepared.SolveBatch: no partial result", prec)
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 package krylov
 
-// Batched (block multi-RHS) Conjugate Gradient. The batch solves the k
-// systems A·x_c = b_c with k INDEPENDENT per-column recurrences — each
+// Batched (block multi-RHS) Conjugate Gradient, and the one loop per
+// recurrence behind every classic and fused CG solve. The batch solves the
+// k systems A·x_c = b_c with k INDEPENDENT per-column recurrences — each
 // column keeps its own α/β/ρ scalars — driven through the block kernels:
 // one SpMM per iteration instead of k SpMVs, one k-wide halo update per
 // neighbour instead of k, and one k-wide AllreduceSum per reduction point
@@ -14,6 +15,16 @@ package krylov
 // a different numerical method: it is exactly k scalar CG solves sharing
 // their memory traffic and message envelopes.
 //
+// The scalar solve is the k = 1 case of the same loops: DistCG runs
+// cgClassic or cgFused at k = 1, where every unmasked block kernel runs
+// its scalar counterpart (sparse.CSR.MulMat and vecops.DotBatch call
+// MulVec and Dot), so the batched loop costs the scalar solve nothing.
+// Only a scalar solve records Options.Trace and Options.RecordResiduals
+// and drives the overlap SpMV schedule of classic-overlap and fused; the
+// exported batched entry points reject the telemetry options (per-column
+// traces would multiply telemetry k-fold) and the overlap and pipelined
+// variants.
+//
 // Columns that converge are frozen: they leave the active mask, stop
 // costing flops in every kernel, and their x column is never touched
 // again. Collectives stay k wide (frozen columns contribute exact zeros)
@@ -21,11 +32,10 @@ package krylov
 // count and collective call count per iteration — never depends on the
 // convergence state. A column whose dᵀAd turns non-positive (the scalar
 // loop's SPD breakdown) is frozen as broken instead of failing the whole
-// batch. Options.Trace and Options.RecordResiduals are ignored (per-column
-// traces would multiply telemetry k-fold; use a scalar solve to trace).
+// batch. With a caller-held Workspace an iteration allocates nothing; only
+// the returned BatchStats slices are allocated per solve.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -54,6 +64,14 @@ type BatchPreconditioner interface {
 // number of times with the same mask.
 type DistBatchPreconditioner interface {
 	ApplyBatch(c *simmpi.Comm, r, z []float64, k int, cols []int, fc *vecops.FlopCounter)
+}
+
+// batchOf runs a scalar DistPreconditioner as the batched one of a k = 1
+// solve, where the mask is always nil.
+type batchOf struct{ DistPreconditioner }
+
+func (m batchOf) ApplyBatch(c *simmpi.Comm, r, z []float64, k int, cols []int, fc *vecops.FlopCounter) {
+	m.Apply(c, r, z, fc)
 }
 
 // IdentityBatch is the no-op batched preconditioner.
@@ -124,63 +142,93 @@ type BatchStats struct {
 	Refinements int
 }
 
-// allConverged reports whether every column converged.
-func (bs *BatchStats) allConverged() bool {
-	for i := range bs.Cols {
-		if !bs.Cols[i].Converged {
-			return false
-		}
-	}
-	return true
-}
-
-// batchCtl tracks the active-column mask and per-column freezing shared by
-// the batched loops.
-type batchCtl struct {
+// run is the per-solve state of a batched loop: the stats being built and
+// the ascending list of still-active columns. scalar marks the k = 1 solve
+// behind DistCG and DistCGRefined, which reports its column's own failure
+// (cause) and telemetry (tr) as a scalar Stats.
+type run struct {
+	bs     BatchStats
 	k      int
 	active []int
+	scalar bool
+	cause  error
+	tr     *tracer
+	fc     *vecops.FlopCounter
 }
 
-func newBatchCtl(k int) *batchCtl {
-	ctl := &batchCtl{k: k, active: make([]int, k)}
-	for c := range ctl.active {
-		ctl.active[c] = c
+func newRun(k int, scalar bool, tr *tracer, fc *vecops.FlopCounter, active []int) run {
+	for c := range active {
+		active[c] = c
 	}
-	return ctl
+	return run{bs: BatchStats{K: k, Cols: make([]Stats, k), Broken: make([]bool, k)},
+		k: k, active: active, scalar: scalar, tr: tr, fc: fc}
 }
 
 // mask returns the kernel mask: nil (the fast path) while every column is
 // active, the ascending active list otherwise.
-func (ctl *batchCtl) mask() []int {
-	if len(ctl.active) == ctl.k {
+func (ru *run) mask() []int {
+	if len(ru.active) == ru.k {
 		return nil
 	}
-	return ctl.active
+	return ru.active
 }
 
-// freeze removes a column from the active set, preserving ascending order.
-func (ctl *batchCtl) freeze(col int) {
-	for i, c := range ctl.active {
-		if c == col {
-			ctl.active = append(ctl.active[:i], ctl.active[i+1:]...)
-			return
-		}
+func (ru *run) done() bool { return len(ru.active) == 0 }
+
+// sweep empties the active list and returns the old one for a pass that
+// re-adds each surviving column with keep. The list is rebuilt in place:
+// keep writes at most where sweep's caller has already read.
+func (ru *run) sweep() []int {
+	act := ru.active
+	ru.active = act[:0]
+	return act
+}
+
+func (ru *run) keep(col int) { ru.active = append(ru.active, col) }
+
+// broke marks col broken down; the first cause is the error of a scalar
+// solve.
+func (ru *run) broke(col int, cause error) {
+	ru.bs.Broken[col] = true
+	if ru.cause == nil {
+		ru.cause = cause
 	}
 }
 
-func (ctl *batchCtl) done() bool { return len(ctl.active) == 0 }
-
-// batchResult assembles the final (stats, error) pair of a batched loop.
-func batchResult(bs BatchStats, canceledAt int, ctx context.Context) (BatchStats, error) {
-	if canceledAt > 0 {
-		var cause error
-		if ctx != nil {
-			cause = ctx.Err()
-		}
-		return bs, fmt.Errorf("%w at iteration %d: %v", ErrCanceled, canceledAt, cause)
+// advance stores column col's residual after iteration iter and reports
+// whether it converged.
+func (ru *run) advance(col, iter int, relres float64, opt Options) bool {
+	st := &ru.bs.Cols[col]
+	st.Iterations, st.RelResidual = iter, relres
+	if opt.RecordResiduals {
+		st.Residuals = append(st.Residuals, relres)
 	}
-	if bs.allConverged() {
-		return bs, nil
+	st.Converged = relres <= opt.Tol
+	return st.Converged
+}
+
+// result assembles a loop's (stats, error) pair; stop is the error that
+// cut the loop short (cancellation, a failed inner solve), nil otherwise.
+func (ru *run) result(stop error) (BatchStats, error) {
+	bs := ru.bs
+	if ru.scalar {
+		st := &bs.Cols[0]
+		st.Flops, st.Trace, st.Refinements = ru.fc.Count(), ru.tr.trace(), bs.Refinements
+		switch {
+		case stop != nil:
+			return bs, stop
+		case ru.cause != nil:
+			return bs, ru.cause
+		case st.Converged:
+			return bs, nil
+		case bs.Refinements > 0:
+			return bs, fmt.Errorf("%w: %d refinements, %d inner iterations, rel residual %.3e",
+				ErrNoConvergence, bs.Refinements, st.Iterations, st.RelResidual)
+		}
+		return bs, fmt.Errorf("%w: %d iterations, rel residual %.3e", ErrNoConvergence, st.Iterations, st.RelResidual)
+	}
+	if stop != nil {
+		return bs, stop
 	}
 	unconverged, broken := 0, 0
 	for c := range bs.Cols {
@@ -191,7 +239,10 @@ func batchResult(bs BatchStats, canceledAt int, ctx context.Context) (BatchStats
 			broken++
 		}
 	}
-	if broken > 0 {
+	switch {
+	case unconverged == 0:
+		return bs, nil
+	case broken > 0:
 		// Both sentinels match: the batch failed to converge, and at least
 		// one column did so by breaking down rather than running out of
 		// iterations.
@@ -202,11 +253,14 @@ func batchResult(bs BatchStats, canceledAt int, ctx context.Context) (BatchStats
 		ErrNoConvergence, unconverged, bs.K, broken, bs.Iterations)
 }
 
-// checkBatchOptions validates the variant and batch size shared by the
-// batched entry points.
+// checkBatchOptions validates the batch size, variant and telemetry options
+// of the exported batched entry points.
 func checkBatchOptions(k int, opt Options) error {
 	if k < 1 {
 		return fmt.Errorf("krylov: batch size %d < 1", k)
+	}
+	if opt.Trace || opt.RecordResiduals {
+		return errors.New("krylov: batched solve records no per-iteration telemetry (Trace, RecordResiduals); use a scalar solve")
 	}
 	switch opt.Variant {
 	case CGClassic, CGFused:
@@ -216,6 +270,88 @@ func checkBatchOptions(k int, opt Options) error {
 	}
 }
 
+// system is the operator side of one batched loop: serial (c == nil, with
+// a and sm) or distributed (op and dm). ov, set only at k = 1 for
+// classic-overlap and fused, runs the SpMV in the send-then-compute
+// schedule.
+type system struct {
+	c   *simmpi.Comm
+	a   *sparse.CSR
+	sm  BatchPreconditioner
+	op  *distmat.Op
+	dm  DistBatchPreconditioner
+	ov  *distmat.OverlapOp
+	vec *distmat.DistVec
+	blk *distmat.BatchDistVec
+	fc  *vecops.FlopCounter
+}
+
+// mul computes y = A·x on the active columns.
+func (s *system) mul(x, y []float64, k int, cols []int) {
+	switch {
+	case s.c == nil:
+		s.a.MulMatCols(x, y, k, cols)
+		nc := k
+		if cols != nil {
+			nc = len(cols)
+		}
+		s.fc.Add(2 * int64(s.a.NNZ()) * int64(nc))
+	case s.ov != nil:
+		s.ov.MulVecOverlap(s.c, x, y, s.vec, s.fc)
+	default:
+		s.op.MulMat(s.c, x, y, k, cols, s.blk, s.fc)
+	}
+}
+
+// apply computes z = M·r on the active columns.
+func (s *system) apply(r, z []float64, k int, cols []int) {
+	if s.c == nil {
+		s.sm.ApplyBatch(r, z, k, cols, s.fc)
+		return
+	}
+	s.dm.ApplyBatch(s.c, r, z, k, cols, s.fc)
+}
+
+// dot writes the (globally reduced) per-column dot products into out.
+func (s *system) dot(x, y []float64, k int, cols []int, out []float64) {
+	if s.c == nil {
+		vecops.DotBatch(x, y, k, cols, out, s.fc)
+		return
+	}
+	distmat.DotBatchDist(s.c, x, y, k, cols, out, s.fc)
+}
+
+// open starts a loop over s: the tracer (before any collective, so its
+// setup delta covers the whole solve), the global size and option defaults,
+// the block length check, the workspace and its halo scratch, and a run
+// with every column active. It returns the run, the workspace and the local
+// row count.
+func (s *system) open(b, x []float64, k int, opt *Options, scalar bool) (run, *Workspace, int) {
+	tr := newTracer(opt.Trace, s.c)
+	var n int
+	if s.c == nil {
+		n = s.a.Rows
+		*opt = opt.withDefaults(n)
+	} else {
+		n = s.op.LZ.NLocal()
+		*opt = opt.withDefaults(int(s.c.AllreduceSumInt64(int64(n))[0]))
+	}
+	if len(b) != n*k || len(x) != n*k {
+		panic(fmt.Sprintf("krylov: CG local length %d/%d, want %d (k=%d)", len(b), len(x), n*k, k))
+	}
+	ws := opt.Work
+	if ws == nil {
+		ws = &Workspace{}
+	}
+	switch {
+	case s.ov != nil:
+		s.vec = ws.distScratch(s.op.LZ)
+	case s.c != nil:
+		s.blk = ws.batchScratch(s.op.LZ, k)
+	}
+	return newRun(k, scalar, tr, s.fc, ws.takeActive(k)), ws, n
+}
+
 // CGBatch solves the k systems A·x_c = b_c serially with the batched
 // classic PCG recurrence, from zero initial guesses. b and x are n×k
 // row-major interleaved blocks; x is overwritten. Column c of the result
@@ -223,105 +359,13 @@ func checkBatchOptions(k int, opt Options) error {
 // but runs the classic recurrence serially (the fused rearrangement only
 // changes communication, which a serial solve has none of).
 func CGBatch(a *sparse.CSR, b, x []float64, m BatchPreconditioner, k int, opt Options, fc *vecops.FlopCounter) (BatchStats, error) {
-	n := a.Rows
 	if err := checkBatchOptions(k, opt); err != nil {
 		return BatchStats{}, err
 	}
-	opt = opt.withDefaults(n)
 	if m == nil {
 		m = IdentityBatch{}
 	}
-	if len(b) != n*k || len(x) != n*k {
-		panic(fmt.Sprintf("krylov: CGBatch block length %d/%d, want %d (k=%d)", len(b), len(x), n*k, k))
-	}
-	ws := opt.Work
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	r, z, d, q := ws.take4(n * k)
-	copy(r, b)
-
-	bs := BatchStats{K: k, Cols: make([]Stats, k), Broken: make([]bool, k)}
-	ctl := newBatchCtl(k)
-	norm0 := make([]float64, k)
-	rho := make([]float64, k)
-	alpha := make([]float64, k)
-	negAlpha := make([]float64, k)
-	beta := make([]float64, k)
-	tmp := make([]float64, k)
-
-	vecops.DotBatch(r, r, k, nil, tmp, fc)
-	for c := 0; c < k; c++ {
-		norm0[c] = math.Sqrt(tmp[c])
-		if norm0[c] == 0 {
-			for i := 0; i < n; i++ {
-				x[i*k+c] = 0
-			}
-			bs.Cols[c].Converged = true
-			ctl.freeze(c)
-		}
-	}
-	if ctl.done() {
-		return batchResult(bs, 0, nil)
-	}
-	m.ApplyBatch(r, z, k, ctl.mask(), fc)
-	copy(d, z)
-	vecops.DotBatch(r, z, k, ctl.mask(), rho, fc)
-
-	for iter := 1; iter <= opt.MaxIter; iter++ {
-		if canceled(nil, opt.Ctx) {
-			return batchResult(bs, iter, opt.Ctx)
-		}
-		a.MulMatCols(d, q, k, ctl.mask())
-		fc.Add(2 * int64(a.NNZ()) * int64(len(ctl.active)))
-		vecops.DotBatch(d, q, k, ctl.mask(), tmp, fc)
-		for _, c := range append([]int(nil), ctl.active...) {
-			if badCurv(tmp[c]) {
-				bs.Broken[c] = true
-				ctl.freeze(c)
-				continue
-			}
-			alpha[c] = rho[c] / tmp[c]
-			negAlpha[c] = -alpha[c]
-		}
-		if ctl.done() {
-			break
-		}
-		vecops.AxpyBatch(alpha, d, x, k, ctl.mask(), fc)
-		vecops.AxpyBatch(negAlpha, q, r, k, ctl.mask(), fc)
-		vecops.DotBatch(r, r, k, ctl.mask(), tmp, fc)
-		bs.Iterations = iter
-		for _, c := range append([]int(nil), ctl.active...) {
-			st := &bs.Cols[c]
-			st.Iterations = iter
-			st.RelResidual = math.Sqrt(tmp[c]) / norm0[c]
-			if nonfinite(tmp[c]) {
-				bs.Broken[c] = true
-				ctl.freeze(c)
-				continue
-			}
-			if st.RelResidual <= opt.Tol {
-				st.Converged = true
-				ctl.freeze(c)
-			}
-		}
-		if ctl.done() {
-			break
-		}
-		m.ApplyBatch(r, z, k, ctl.mask(), fc)
-		vecops.DotBatch(r, z, k, ctl.mask(), tmp, fc)
-		for _, c := range append([]int(nil), ctl.active...) {
-			if nonfinite(tmp[c]) {
-				bs.Broken[c] = true
-				ctl.freeze(c)
-				continue
-			}
-			beta[c] = tmp[c] / rho[c]
-			rho[c] = tmp[c]
-		}
-		vecops.XpayBatch(z, beta, d, k, ctl.mask(), fc)
-	}
-	return batchResult(bs, 0, nil)
+	return cgClassic(&system{a: a, sm: m, fc: fc}, b, x, k, opt, false)
 }
 
 // DistCGBatch solves the k distributed systems A·x_c = b_c with the
@@ -339,219 +383,204 @@ func DistCGBatch(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistBatchPrec
 	if err := checkBatchOptions(k, opt); err != nil {
 		return BatchStats{}, err
 	}
+	return distCG(c, op, b, x, m, k, opt, fc, false)
+}
+
+// distCG runs the distributed classic or fused loop. The k = 1 scalar solve
+// of classic-overlap and fused drives its SpMV through the overlap view.
+func distCG(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistBatchPreconditioner, k int, opt Options, fc *vecops.FlopCounter, scalar bool) (BatchStats, error) {
+	s := &system{c: c, op: op, dm: m, fc: fc}
+	if k == 1 && (opt.Variant == CGClassicOverlap || opt.Variant == CGFused) {
+		s.ov = op.EnsureOverlap()
+	}
 	if opt.Variant == CGFused {
-		return distCGFusedBatch(c, op, b, x, m, k, opt, fc)
+		return cgFused(s, b, x, k, opt, scalar)
 	}
-	nl := op.LZ.NLocal()
-	nGlobal := int(c.AllreduceSumInt64(int64(nl))[0])
-	opt = opt.withDefaults(nGlobal)
-	if len(b) != nl*k || len(x) != nl*k {
-		panic(fmt.Sprintf("krylov: DistCGBatch local block length %d/%d, want %d (k=%d)", len(b), len(x), nl*k, k))
-	}
-	ws := opt.Work
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	r, z, d, q := ws.take4(nl * k)
+	return cgClassic(s, b, x, k, opt, scalar)
+}
+
+// cgClassic is the textbook PCG loop over k columns: one SpMV, three
+// reductions (dᵀq, ‖r‖², rᵀz) and one preconditioner apply per iteration.
+func cgClassic(s *system, b, x []float64, k int, opt Options, scalar bool) (BatchStats, error) {
+	ru, ws, n := s.open(b, x, k, &opt, scalar)
+	r, z, d, q := ws.take4(n * k)
+	kw := ws.takeScalars(6 * k)
+	norm0, rho, alpha, negAlpha, beta, tmp := kw[:k], kw[k:2*k], kw[2*k:3*k], kw[3*k:4*k], kw[4*k:5*k], kw[5*k:]
 	copy(r, b)
-	scratch := distmat.NewBatchDistVec(op.LZ, k)
 
-	bs := BatchStats{K: k, Cols: make([]Stats, k), Broken: make([]bool, k)}
-	ctl := newBatchCtl(k)
-	norm0 := make([]float64, k)
-	rho := make([]float64, k)
-	alpha := make([]float64, k)
-	negAlpha := make([]float64, k)
-	beta := make([]float64, k)
-	tmp := make([]float64, k)
-
-	distmat.DotBatchDist(c, r, r, k, nil, tmp, fc)
-	for col := 0; col < k; col++ {
-		norm0[col] = math.Sqrt(tmp[col])
-		if norm0[col] == 0 {
-			for i := 0; i < nl; i++ {
+	s.dot(r, r, k, nil, tmp)
+	for _, col := range ru.sweep() {
+		if norm0[col] = math.Sqrt(tmp[col]); norm0[col] == 0 {
+			for i := 0; i < n; i++ {
 				x[i*k+col] = 0
 			}
-			bs.Cols[col].Converged = true
-			ctl.freeze(col)
+			ru.bs.Cols[col].Converged = true
+			continue
 		}
+		ru.keep(col)
 	}
-	if ctl.done() {
-		return batchResult(bs, 0, nil)
+	if ru.done() {
+		return ru.result(nil)
 	}
-	m.ApplyBatch(c, r, z, k, ctl.mask(), fc)
+	s.apply(r, z, k, ru.mask())
 	copy(d, z)
-	distmat.DotBatchDist(c, r, z, k, ctl.mask(), rho, fc)
+	s.dot(r, z, k, ru.mask(), rho)
+	ru.tr.setup()
 
-	for iter := 1; iter <= opt.MaxIter; iter++ {
-		if canceled(c, opt.Ctx) {
-			return batchResult(bs, iter, opt.Ctx)
+	// beta is the β that built each column's current direction d (0 on the
+	// first iteration); the trace records it next to α.
+	for iter := 1; iter <= opt.MaxIter && !ru.done(); iter++ {
+		if canceled(s.c, opt.Ctx) {
+			return ru.result(fmt.Errorf("%w at iteration %d", ErrCanceled, iter))
 		}
-		op.MulMat(c, d, q, k, ctl.mask(), scratch, fc)
-		distmat.DotBatchDist(c, d, q, k, ctl.mask(), tmp, fc)
-		for _, col := range append([]int(nil), ctl.active...) {
+		s.mul(d, q, k, ru.mask())
+		s.dot(d, q, k, ru.mask(), tmp)
+		for _, col := range ru.sweep() {
 			// tmp holds Allreduce results, identical on every rank, so the
 			// per-column freeze decisions are collective by construction.
 			if badCurv(tmp[col]) {
-				bs.Broken[col] = true
-				ctl.freeze(col)
+				ru.broke(col, fmt.Errorf("%w at iteration %d (dᵀAd = %g); matrix not SPD?", ErrBreakdown, iter, tmp[col]))
 				continue
 			}
 			alpha[col] = rho[col] / tmp[col]
 			negAlpha[col] = -alpha[col]
+			ru.keep(col)
 		}
-		if ctl.done() {
+		if ru.done() {
 			break
 		}
-		vecops.AxpyBatch(alpha, d, x, k, ctl.mask(), fc)
-		vecops.AxpyBatch(negAlpha, q, r, k, ctl.mask(), fc)
-		distmat.DotBatchDist(c, r, r, k, ctl.mask(), tmp, fc)
-		bs.Iterations = iter
-		for _, col := range append([]int(nil), ctl.active...) {
-			st := &bs.Cols[col]
-			st.Iterations = iter
-			st.RelResidual = math.Sqrt(tmp[col]) / norm0[col]
-			if nonfinite(tmp[col]) {
-				bs.Broken[col] = true
-				ctl.freeze(col)
+		vecops.AxpyBatch(alpha, d, x, k, ru.mask(), s.fc)
+		vecops.AxpyBatch(negAlpha, q, r, k, ru.mask(), s.fc)
+		s.dot(r, r, k, ru.mask(), tmp)
+		ru.bs.Iterations = iter
+		for _, col := range ru.sweep() {
+			rnorm := math.Sqrt(tmp[col])
+			if nonfinite(rnorm) {
+				ru.broke(col, fmt.Errorf("%w at iteration %d (‖r‖ = %g)", ErrBreakdown, iter, rnorm))
 				continue
 			}
-			if st.RelResidual <= opt.Tol {
-				st.Converged = true
-				ctl.freeze(col)
+			if ru.advance(col, iter, rnorm/norm0[col], opt) {
+				ru.tr.record(iter, ru.bs.Cols[col].RelResidual, alpha[col], beta[col])
+				continue
 			}
+			ru.keep(col)
 		}
-		if ctl.done() {
+		if ru.done() {
 			break
 		}
-		m.ApplyBatch(c, r, z, k, ctl.mask(), fc)
-		distmat.DotBatchDist(c, r, z, k, ctl.mask(), tmp, fc)
-		for _, col := range append([]int(nil), ctl.active...) {
+		s.apply(r, z, k, ru.mask())
+		s.dot(r, z, k, ru.mask(), tmp)
+		for _, col := range ru.sweep() {
+			ru.tr.record(iter, ru.bs.Cols[col].RelResidual, alpha[col], beta[col])
 			if nonfinite(tmp[col]) {
-				bs.Broken[col] = true
-				ctl.freeze(col)
+				ru.broke(col, fmt.Errorf("%w at iteration %d (rᵀMr = %g); preconditioner not finite?", ErrBreakdown, iter, tmp[col]))
 				continue
 			}
 			beta[col] = tmp[col] / rho[col]
 			rho[col] = tmp[col]
+			ru.keep(col)
 		}
-		vecops.XpayBatch(z, beta, d, k, ctl.mask(), fc)
+		vecops.XpayBatch(z, beta, d, k, ru.mask(), s.fc)
 	}
-	return batchResult(bs, 0, nil)
+	return ru.result(nil)
 }
 
-// distCGFusedBatch is the batched fused-reduction (Chronopoulos–Gear)
-// loop: one AllreduceSum of 3k values per iteration — the collective call
-// count of one scalar fused solve, serving all k columns. Each column runs
-// its own α/β/γ recurrence; column c is bit-identical to DistCGFused on
-// column c alone. The SpMM uses the blocking schedule (its metered traffic
-// is identical to the overlap schedule the scalar loop uses, byte for
-// byte and message for message).
-func distCGFusedBatch(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistBatchPreconditioner, k int, opt Options, fc *vecops.FlopCounter) (BatchStats, error) {
-	nl := op.LZ.NLocal()
-	nGlobal := int(c.AllreduceSumInt64(int64(nl))[0])
-	opt = opt.withDefaults(nGlobal)
-	if len(b) != nl*k || len(x) != nl*k {
-		panic(fmt.Sprintf("krylov: distCGFusedBatch local block length %d/%d, want %d (k=%d)", len(b), len(x), nl*k, k))
-	}
-	ws := opt.Work
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	r, u, w, p, s := ws.take5(nl * k)
-	scratch := distmat.NewBatchDistVec(op.LZ, k)
+// cgFused is the fused-reduction (Chronopoulos–Gear) PCG loop over k
+// distributed columns. The classic loop's three reductions per iteration
+// are rearranged so all three scalars — rᵀu, wᵀu and ‖r‖² — are computed
+// back to back and reduced in ONE AllreduceSum of 3k values, with halo
+// traffic byte-identical to the classic loop and unchanged neighbour sets
+// (asserted by the metered tests). The vector updates run as the fused
+// one-pass kernels (FusedCGUpdateBatch, Dot2Batch), so each iteration
+// streams every vector once. In exact arithmetic the iterates equal
+// classic PCG's; in floating point the rearranged scalar recurrences
+//
+//	β_i = γ_i/γ_{i−1},  α_i = γ_i/(δ_i − β_i·γ_i/α_{i−1})
+//
+// round differently, so iteration counts may shift by ±1.
+func cgFused(s *system, b, x []float64, k int, opt Options, scalar bool) (BatchStats, error) {
+	ru, ws, n := s.open(b, x, k, &opt, scalar)
+	r, u, w, p, sv := ws.take5(n * k)
+	kw := ws.takeScalars(10 * k)
+	norm0, gamma, alpha, beta := kw[:k], kw[k:2*k], kw[2*k:3*k], kw[3*k:4*k]
+	gammaL, deltaL, rrL, g := kw[4*k:5*k], kw[5*k:6*k], kw[6*k:7*k], kw[7*k:]
 	copy(r, b)
 	vecops.Fill(p, 0)
-	vecops.Fill(s, 0)
+	vecops.Fill(sv, 0)
 
-	bs := BatchStats{K: k, Cols: make([]Stats, k), Broken: make([]bool, k)}
-	ctl := newBatchCtl(k)
-	norm0 := make([]float64, k)
-	gamma := make([]float64, k)
-	alpha := make([]float64, k)
-	beta := make([]float64, k)
-	gammaL := make([]float64, k)
-	deltaL := make([]float64, k)
-	rrL := make([]float64, k)
-	g := make([]float64, 3*k)
-
-	// Setup pass over every column, like the scalar loop: the zero-RHS and
-	// non-SPD checks come out of the first collective.
-	m.ApplyBatch(c, r, u, k, nil, fc)
-	op.MulMat(c, u, w, k, nil, scratch, fc)
-	vecops.Dot2Batch(r, u, w, k, nil, gammaL, deltaL, fc)
-	vecops.DotBatch(r, r, k, nil, rrL, fc)
+	// Setup pass over every column: the zero-RHS and non-SPD checks come out
+	// of the first collective.
+	s.apply(r, u, k, nil)
+	s.mul(u, w, k, nil)
+	vecops.Dot2Batch(r, u, w, k, nil, gammaL, deltaL, s.fc)
+	vecops.DotBatch(r, r, k, nil, rrL, s.fc)
 	copy(g[:k], gammaL)
 	copy(g[k:2*k], deltaL)
 	copy(g[2*k:], rrL)
-	gr := c.AllreduceSum(g...)
-	for col := 0; col < k; col++ {
+	gr := s.c.AllreduceSum(g...)
+	for _, col := range ru.sweep() {
 		ga, de, rr := gr[col], gr[k+col], gr[2*k+col]
 		if rr == 0 {
-			for i := 0; i < nl; i++ {
+			for i := 0; i < n; i++ {
 				x[i*k+col] = 0
 			}
-			bs.Cols[col].Converged = true
-			ctl.freeze(col)
+			ru.bs.Cols[col].Converged = true
 			continue
 		}
 		norm0[col] = math.Sqrt(rr)
 		if badCurv(ga) || badCurv(de) {
-			bs.Broken[col] = true
-			ctl.freeze(col)
+			ru.broke(col, fmt.Errorf("%w at fused CG setup (rᵀMr = %g, uᵀAu = %g); matrix or preconditioner not SPD?", ErrBreakdown, ga, de))
 			continue
 		}
-		gamma[col] = ga
-		alpha[col] = ga / de
-		beta[col] = 0
+		gamma[col], alpha[col], beta[col] = ga, ga/de, 0
+		ru.keep(col)
 	}
+	if ru.done() {
+		return ru.result(nil)
+	}
+	ru.tr.setup()
 
-	for iter := 1; iter <= opt.MaxIter && !ctl.done(); iter++ {
-		if canceled(c, opt.Ctx) {
-			return batchResult(bs, iter, opt.Ctx)
+	for iter := 1; iter <= opt.MaxIter && !ru.done(); iter++ {
+		if canceled(s.c, opt.Ctx) {
+			return ru.result(fmt.Errorf("%w at iteration %d", ErrCanceled, iter))
 		}
-		vecops.FusedCGUpdateBatch(alpha, beta, u, w, p, s, x, r, k, ctl.mask(), rrL, fc)
-		m.ApplyBatch(c, r, u, k, ctl.mask(), fc)
-		op.MulMat(c, u, w, k, ctl.mask(), scratch, fc)
-		vecops.Dot2Batch(r, u, w, k, ctl.mask(), gammaL, deltaL, fc)
-		// Frozen columns contribute exact zeros so the collective stays a
-		// fixed 3k values per iteration.
-		for i := range g {
-			g[i] = 0
+		// p ← u + βp, s ← w + βs, x ← x + αp, r ← r − αs, and the local
+		// ‖r‖² contribution, all in one sweep.
+		vecops.FusedCGUpdateBatch(alpha, beta, u, w, p, sv, x, r, k, ru.mask(), rrL, s.fc)
+		s.apply(r, u, k, ru.mask())
+		s.mul(u, w, k, ru.mask())
+		vecops.Dot2Batch(r, u, w, k, ru.mask(), gammaL, deltaL, s.fc)
+		// The single collective of the iteration. Frozen columns contribute
+		// exact zeros so it stays a fixed 3k values.
+		vecops.Fill(g, 0)
+		for _, col := range ru.active {
+			g[col], g[k+col], g[2*k+col] = gammaL[col], deltaL[col], rrL[col]
 		}
-		for _, col := range ctl.active {
-			g[col] = gammaL[col]
-			g[k+col] = deltaL[col]
-			g[2*k+col] = rrL[col]
-		}
-		gr := c.AllreduceSum(g...)
-		bs.Iterations = iter
-		for _, col := range append([]int(nil), ctl.active...) {
+		gr := s.c.AllreduceSum(g...)
+		ru.bs.Iterations = iter
+		for _, col := range ru.sweep() {
 			gammaNew, de, rr := gr[col], gr[k+col], gr[2*k+col]
-			st := &bs.Cols[col]
-			st.Iterations = iter
-			st.RelResidual = math.Sqrt(rr) / norm0[col]
 			if nonfinite(rr) || nonfinite(gammaNew) {
-				bs.Broken[col] = true
-				ctl.freeze(col)
+				ru.broke(col, fmt.Errorf("%w at iteration %d (‖r‖² = %g, rᵀMr = %g)", ErrBreakdown, iter, rr, gammaNew))
 				continue
 			}
-			if st.RelResidual <= opt.Tol {
-				st.Converged = true
-				ctl.freeze(col)
+			converged := ru.advance(col, iter, math.Sqrt(rr)/norm0[col], opt)
+			// Record before α/β advance: the pass's traffic is complete here,
+			// and α/β are still the scalars of the update that produced this
+			// iteration's residual.
+			ru.tr.record(iter, ru.bs.Cols[col].RelResidual, alpha[col], beta[col])
+			if converged {
 				continue
 			}
 			betaNew := gammaNew / gamma[col]
 			denom := de - betaNew*gammaNew/alpha[col]
 			if badCurv(denom) {
-				bs.Broken[col] = true
-				ctl.freeze(col)
+				ru.broke(col, fmt.Errorf("%w at iteration %d (recurrence denominator %g); matrix not SPD?", ErrBreakdown, iter, denom))
 				continue
 			}
-			beta[col] = betaNew
-			alpha[col] = gammaNew / denom
-			gamma[col] = gammaNew
+			beta[col], alpha[col], gamma[col] = betaNew, gammaNew/denom, gammaNew
+			ru.keep(col)
 		}
 	}
-	return batchResult(bs, 0, nil)
+	return ru.result(nil)
 }

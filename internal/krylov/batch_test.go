@@ -19,19 +19,19 @@ type jacobiBatch struct{ inv []float64 }
 
 func (j *jacobiBatch) ApplyBatch(r, z []float64, k int, cols []int, fc *vecops.FlopCounter) {
 	n := len(r) / k
-	idx := cols
-	if idx == nil {
-		idx = make([]int, k)
-		for c := range idx {
-			idx[c] = c
+	if cols == nil {
+		for i := range r {
+			z[i] = r[i] * j.inv[i/k]
 		}
+		fc.Add(int64(len(r)))
+		return
 	}
 	for i := 0; i < n; i++ {
-		for _, c := range idx {
+		for _, c := range cols {
 			z[i*k+c] = r[i*k+c] * j.inv[i]
 		}
 	}
-	fc.Add(int64(n) * int64(len(idx)))
+	fc.Add(int64(n) * int64(len(cols)))
 }
 
 // distJacobiBatch is the distributed analog over a rank's local block.
@@ -192,6 +192,17 @@ func TestBatchVariantRejected(t *testing.T) {
 	}
 	if _, err := CGBatch(a, b, x, nil, 0, Options{}, nil); err == nil {
 		t.Fatal("k=0 accepted")
+	}
+	// The batched loops record no per-iteration telemetry; asking for it is
+	// an error, not a silently empty trace. The options are checked before
+	// any communication, so the distributed entry point needs no ranks.
+	for name, opt := range map[string]Options{"trace": {Trace: true}, "residuals": {RecordResiduals: true}} {
+		if _, err := CGBatch(a, b, x, nil, 1, opt, nil); err == nil {
+			t.Fatalf("CGBatch accepted %s", name)
+		}
+		if _, err := DistCGBatch(nil, nil, b, x, nil, 1, opt, nil); err == nil {
+			t.Fatalf("DistCGBatch accepted %s", name)
+		}
 	}
 }
 

@@ -3,7 +3,10 @@
 // application interfaces the FSAI family plugs into. The distributed solver
 // mirrors the paper's MPI parallelization: the matrix and vectors are
 // distributed by rows, SpMV performs a halo update, and dot products reduce
-// globally.
+// globally. Each distributed recurrence is written once: the classic and
+// fused loops are the batched (multi-RHS) loops of batch.go, which the
+// scalar DistCG runs at k = 1, and one FP64 refinement loop over k columns
+// (refined.go) serves DistCGRefined and DistCGBatchRefined.
 package krylov
 
 import (
@@ -338,92 +341,16 @@ func mulDist(c *simmpi.Comm, op *distmat.Op, x, y []float64, scratch *distmat.Di
 // The operator op must be built over the same layout as b/x.
 // Options.Variant selects the loop: CGClassic and CGClassicOverlap run the
 // textbook recurrence (three reductions per iteration) with the blocking or
-// overlapped SpMV schedule respectively; CGFused dispatches to DistCGFused
-// and CGPipelined to DistCGPipelined.
+// overlapped SpMV schedule respectively and CGFused the fused-reduction
+// recurrence — each the batched loop of DistCGBatch at k = 1 — while
+// CGPipelined dispatches to DistCGPipelined.
 func DistCG(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
-	switch opt.Variant {
-	case CGFused:
-		return DistCGFused(c, op, b, x, m, opt, fc)
-	case CGPipelined:
+	if opt.Variant == CGPipelined {
 		return DistCGPipelined(c, op, b, x, m, opt, fc)
 	}
-	tr := newTracer(opt.Trace, c)
-	nl := op.LZ.NLocal()
-	nGlobal := int(c.AllreduceSumInt64(int64(nl))[0])
-	opt = opt.withDefaults(nGlobal)
 	if m == nil {
 		m = DistIdentity{}
 	}
-	if len(b) != nl || len(x) != nl {
-		panic(fmt.Sprintf("krylov: DistCG local length %d/%d, want %d", len(b), len(x), nl))
-	}
-	ws := opt.Work
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	r, z, d, q := ws.take4(nl)
-	copy(r, b)
-	scratch := ws.distScratch(op.LZ)
-	var ov *distmat.OverlapOp
-	if opt.Variant == CGClassicOverlap {
-		ov = op.EnsureOverlap()
-	}
-
-	norm0 := distmat.Norm2(c, r, fc)
-	if norm0 == 0 {
-		vecops.Fill(x, 0)
-		return finish(Stats{Converged: true}, fc, tr), nil
-	}
-	m.Apply(c, r, z, fc)
-	copy(d, z)
-	rho := distmat.Dot(c, r, z, fc)
-	tr.setup()
-
-	st := Stats{}
-	beta := 0.0 // the β that built this iteration's direction d
-	for iter := 1; iter <= opt.MaxIter; iter++ {
-		if canceled(c, opt.Ctx) {
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d", ErrCanceled, iter)
-		}
-		if ov != nil {
-			ov.MulVecOverlap(c, d, q, scratch, fc)
-		} else {
-			op.MulVec(c, d, q, scratch, fc)
-		}
-		dq := distmat.Dot(c, d, q, fc)
-		if badCurv(dq) {
-			// dq is an Allreduce result — identical on every rank — so this
-			// return is itself the collective verdict: all ranks stop here.
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d (dᵀAd = %g); matrix not SPD?", ErrBreakdown, iter, dq)
-		}
-		alpha := rho / dq
-		vecops.Axpy(alpha, d, x, fc)
-		vecops.Axpy(-alpha, q, r, fc)
-		rnorm := distmat.Norm2(c, r, fc)
-		if nonfinite(rnorm) {
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d (‖r‖ = %g)", ErrBreakdown, iter, rnorm)
-		}
-		st.Iterations = iter
-		st.RelResidual = rnorm / norm0
-		if opt.RecordResiduals {
-			st.Residuals = append(st.Residuals, st.RelResidual)
-		}
-		if st.RelResidual <= opt.Tol {
-			st.Converged = true
-			tr.record(iter, st.RelResidual, alpha, beta)
-			return finish(st, fc, tr), nil
-		}
-		m.Apply(c, r, z, fc)
-		rhoNew := distmat.Dot(c, r, z, fc)
-		if nonfinite(rhoNew) {
-			tr.record(iter, st.RelResidual, alpha, beta)
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d (rᵀMr = %g); preconditioner not finite?", ErrBreakdown, iter, rhoNew)
-		}
-		tr.record(iter, st.RelResidual, alpha, beta)
-		beta = rhoNew / rho
-		rho = rhoNew
-		vecops.Xpay(z, beta, d, fc)
-	}
-	st = finish(st, fc, tr)
-	return st, fmt.Errorf("%w: %d iterations, rel residual %.3e", ErrNoConvergence, st.Iterations, st.RelResidual)
+	bs, err := distCG(c, op, b, x, batchOf{m}, 1, opt, fc, true)
+	return bs.Cols[0], err
 }

@@ -1,24 +1,9 @@
 package krylov
 
-// The fused-reduction (Chronopoulos–Gear) Conjugate Gradient variant. The
-// classic PCG loop performs three global reductions per iteration — dᵀq,
-// ‖r‖² and rᵀz — each a separate latency-bound Allreduce. Rearranging the
-// recurrence lets all three scalars of an iteration be computed back to
-// back and reduced in a single variadic AllreduceSum, cutting the
-// collective count per iteration from 3 to 1 while leaving the Krylov
-// space — and therefore the iteration count, up to floating-point rounding
-// — unchanged. The SpMV is driven through the interior/boundary overlap
-// schedule so halo sends are in flight while interior rows are computed,
-// and the vector updates run as fused one-pass kernels (vecops.Dot2,
-// vecops.FusedCGUpdate) so each iteration streams every vector once.
-
 import (
 	"fmt"
-	"math"
 
 	"fsaicomm/internal/distmat"
-	"fsaicomm/internal/simmpi"
-	"fsaicomm/internal/vecops"
 )
 
 // CGVariant selects the communication structure of the distributed CG loop.
@@ -99,6 +84,11 @@ type Workspace struct {
 	gv                 [][]float64
 	gh, gc, gs, gg, gy []float64
 	scratch            *distmat.DistVec
+	// bscratch, kw and act serve the batched loops: the k-wide halo block,
+	// the per-column recurrence scalars and the active-column list.
+	bscratch *distmat.BatchDistVec
+	kw       []float64
+	act      []int
 }
 
 func grow(v *[]float64, n int) []float64 {
@@ -154,6 +144,31 @@ func growSlice(v []float64, n int) []float64 {
 	return v[:n]
 }
 
+// takeScalars returns n zeroed recurrence scalars.
+func (ws *Workspace) takeScalars(n int) []float64 {
+	kw := grow(&ws.kw, n)
+	clear(kw)
+	return kw
+}
+
+// takeActive returns the k-slot active-column list.
+func (ws *Workspace) takeActive(k int) []int {
+	if cap(ws.act) < k {
+		ws.act = make([]int, k)
+	}
+	return ws.act[:k]
+}
+
+// batchScratch returns a k-wide halo-extended block compatible with lz,
+// reusing the previous one when the layout and width match.
+func (ws *Workspace) batchScratch(lz *distmat.Localized, k int) *distmat.BatchDistVec {
+	need := (lz.NLocal() + len(lz.HaloSet())) * k
+	if s := ws.bscratch; s == nil || s.NLocal != lz.NLocal() || s.K != k || len(s.Ext) != need {
+		ws.bscratch = distmat.NewBatchDistVec(lz, k)
+	}
+	return ws.bscratch
+}
+
 // distScratch returns a halo-extended vector compatible with lz, reusing
 // the previous one when the layout matches.
 func (ws *Workspace) distScratch(lz *distmat.Localized) *distmat.DistVec {
@@ -162,99 +177,4 @@ func (ws *Workspace) distScratch(lz *distmat.Localized) *distmat.DistVec {
 		ws.scratch = distmat.NewDistVec(lz)
 	}
 	return ws.scratch
-}
-
-// DistCGFused solves A x = b with the fused-reduction (Chronopoulos–Gear)
-// preconditioned CG recurrence. Per iteration it performs exactly one
-// collective — AllreduceSum(rᵀu, wᵀu, ‖r‖²) — against the classic loop's
-// three, with byte-identical halo traffic and unchanged neighbour sets
-// (asserted by the metered tests). The SpMV uses the overlap schedule. In
-// exact arithmetic the iterates equal classic PCG's; in floating point the
-// rearranged scalar recurrences
-//
-//	β_i = γ_i/γ_{i−1},  α_i = γ_i/(δ_i − β_i·γ_i/α_{i−1})
-//
-// round differently, so iteration counts may shift by ±1.
-func DistCGFused(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
-	tr := newTracer(opt.Trace, c)
-	nl := op.LZ.NLocal()
-	nGlobal := int(c.AllreduceSumInt64(int64(nl))[0])
-	opt = opt.withDefaults(nGlobal)
-	if m == nil {
-		m = DistIdentity{}
-	}
-	if len(b) != nl || len(x) != nl {
-		panic(fmt.Sprintf("krylov: DistCGFused local length %d/%d, want %d", len(b), len(x), nl))
-	}
-	ws := opt.Work
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	r, u, w, p, s := ws.take5(nl)
-	scratch := ws.distScratch(op.LZ)
-	ov := op.EnsureOverlap()
-
-	copy(r, b)
-	vecops.Fill(p, 0)
-	vecops.Fill(s, 0)
-	m.Apply(c, r, u, fc)
-	ov.MulVecOverlap(c, u, w, scratch, fc)
-	ruL, wuL := vecops.Dot2(r, u, w, fc)
-	rrL := vecops.Dot(r, r, fc)
-	g := c.AllreduceSum(ruL, wuL, rrL)
-	gamma, delta, rr := g[0], g[1], g[2]
-	if rr == 0 {
-		vecops.Fill(x, 0)
-		return finish(Stats{Converged: true}, fc, tr), nil
-	}
-	norm0 := math.Sqrt(rr)
-	if badCurv(gamma) || badCurv(delta) {
-		return finish(Stats{}, fc, tr), fmt.Errorf("%w at DistCGFused setup (rᵀMr = %g, uᵀAu = %g); matrix or preconditioner not SPD?", ErrBreakdown, gamma, delta)
-	}
-	alpha := gamma / delta
-	beta := 0.0
-	tr.setup()
-
-	st := Stats{}
-	for iter := 1; iter <= opt.MaxIter; iter++ {
-		if canceled(c, opt.Ctx) {
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d", ErrCanceled, iter)
-		}
-		// p ← u + βp, s ← w + βs, x ← x + αp, r ← r − αs, and the local
-		// ‖r‖² contribution, all in one sweep.
-		rrL := vecops.FusedCGUpdate(alpha, beta, u, w, p, s, x, r, fc)
-		m.Apply(c, r, u, fc)
-		ov.MulVecOverlap(c, u, w, scratch, fc)
-		ruL, wuL := vecops.Dot2(r, u, w, fc)
-		// The single collective of the iteration.
-		g := c.AllreduceSum(ruL, wuL, rrL)
-		gammaNew, delta, rr := g[0], g[1], g[2]
-		if nonfinite(rr) || nonfinite(gammaNew) {
-			// Allreduce results are rank-identical: collective verdict.
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d (‖r‖² = %g, rᵀMr = %g)", ErrBreakdown, iter, rr, gammaNew)
-		}
-		st.Iterations = iter
-		st.RelResidual = math.Sqrt(rr) / norm0
-		if opt.RecordResiduals {
-			st.Residuals = append(st.Residuals, st.RelResidual)
-		}
-		if st.RelResidual <= opt.Tol {
-			st.Converged = true
-			tr.record(iter, st.RelResidual, alpha, beta)
-			return finish(st, fc, tr), nil
-		}
-		// Record before α/β advance: the pass's traffic (apply, SpMV,
-		// Allreduce) is complete here, and α/β are still the scalars of the
-		// update that produced this iteration's residual.
-		tr.record(iter, st.RelResidual, alpha, beta)
-		beta = gammaNew / gamma
-		denom := delta - beta*gammaNew/alpha
-		if badCurv(denom) {
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d (recurrence denominator %g); matrix not SPD?", ErrBreakdown, iter, denom)
-		}
-		alpha = gammaNew / denom
-		gamma = gammaNew
-	}
-	st = finish(st, fc, tr)
-	return st, fmt.Errorf("%w: %d iterations, rel residual %.3e", ErrNoConvergence, st.Iterations, st.RelResidual)
 }

@@ -295,31 +295,60 @@ func TestDistCGFusedBreakdownOnIndefinite(t *testing.T) {
 	}
 }
 
-// Satellite 2: with a caller-held Workspace and a prebuilt preconditioner,
-// repeated serial solves allocate nothing in steady state.
+// With a caller-held Workspace and a prebuilt preconditioner, repeated
+// serial solves allocate nothing in steady state, and the batched loop's
+// allocations do not grow with the iteration count: only the returned
+// BatchStats slices are allocated, the same count on every system size.
 func TestCGWorkspaceZeroAllocs(t *testing.T) {
-	a := matgen.Poisson2D(10, 10)
-	n := a.Rows
-	b := matgen.RandomRHS(n, 37, a.MaxNorm())
-	j, err := NewJacobi(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, n)
-	ws := &Workspace{}
-	opt := Options{Tol: 1e-8, Work: ws}
-	// Warm-up solve grows the workspace.
-	if _, err := CG(a, b, x, j, opt, nil); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		vecops.Fill(x, 0)
-		if _, err := CG(a, b, x, j, opt, nil); err != nil {
-			panic(err)
+	const k = 3
+	batchAllocs := map[int]float64{}
+	for _, dim := range []int{10, 20} {
+		a := matgen.Poisson2D(dim, dim)
+		n := a.Rows
+		b := matgen.RandomRHS(n, 37, a.MaxNorm())
+		j, err := NewJacobi(a)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state CG allocates %v times per solve, want 0", allocs)
+		x := make([]float64, n)
+		ws := &Workspace{}
+		opt := Options{Tol: 1e-8, Work: ws}
+		// Warm-up solve grows the workspace.
+		if _, err := CG(a, b, x, j, opt, nil); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			vecops.Fill(x, 0)
+			if _, err := CG(a, b, x, j, opt, nil); err != nil {
+				panic(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%dx%d: steady-state CG allocates %v times per solve, want 0", dim, dim, allocs)
+		}
+
+		rhs := make([][]float64, k)
+		for c := range rhs {
+			rhs[c] = matgen.RandomRHS(n, int64(37+c), a.MaxNorm())
+		}
+		bb, xb := packRHS(rhs, k), make([]float64, n*k)
+		m := &jacobiBatch{inv: j.InvDiag}
+		if _, err := CGBatch(a, bb, xb, m, k, opt, nil); err != nil {
+			t.Fatal(err)
+		}
+		batchAllocs[dim] = testing.AllocsPerRun(10, func() {
+			vecops.Fill(xb, 0)
+			if _, err := CGBatch(a, bb, xb, m, k, opt, nil); err != nil {
+				panic(err)
+			}
+		})
+		if batchAllocs[dim] > 2 {
+			t.Fatalf("%dx%d: steady-state CGBatch (k=%d) allocates %v times per solve, want at most 2",
+				dim, dim, k, batchAllocs[dim])
+		}
+	}
+	if batchAllocs[10] != batchAllocs[20] {
+		t.Fatalf("CGBatch allocations grow with the system: %v", batchAllocs)
 	}
 }
 

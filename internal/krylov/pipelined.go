@@ -1,7 +1,7 @@
 package krylov
 
 // The pipelined (Ghysels–Vanroose) Conjugate Gradient variant. The fused
-// recurrence of DistCGFused already pays only one collective per iteration,
+// recurrence (cgFused) already pays only one collective per iteration,
 // but that collective is still blocking: every rank stalls in the Allreduce
 // between the SpMV and the vector updates. Pipelining rearranges the
 // recurrence once more so the reduction's operands are available one

@@ -199,82 +199,14 @@ func SolveRefined(a *sparse.CSR, b, x []float64, m Preconditioner, opt Options, 
 // Localized view with the f32 kernel and half-width halo plan) the inner
 // DistCG solves run against, under the variant chosen in opt. The
 // preconditioner m should likewise be built over f32 operators. Every rank
-// passes its local slices; all ranks receive identical Stats.
+// passes its local slices; all ranks receive identical Stats. It is the
+// refinement loop of DistCGBatchRefined at k = 1.
 func DistCGRefined(c *simmpi.Comm, aOuter, aInner *distmat.Op, b, x []float64, m DistPreconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
-	tr := newTracer(opt.Trace, c)
-	nl := aOuter.LZ.NLocal()
-	nGlobal := int(c.AllreduceSumInt64(int64(nl))[0])
-	opt = opt.withDefaults(nGlobal)
-	if m == nil {
-		m = DistIdentity{}
-	}
-	if len(b) != nl || len(x) != nl {
-		panic(fmt.Sprintf("krylov: DistCGRefined local length %d/%d, want %d", len(b), len(x), nl))
-	}
-	r := make([]float64, nl)
-	d := make([]float64, nl)
-	scratch := distmat.NewDistVec(aOuter.LZ)
-	copy(r, b)
-	norm0 := distmat.Norm2(c, r, fc)
-	if norm0 == 0 {
-		vecops.Fill(x, 0)
-		return finish(Stats{Converged: true}, fc, tr), nil
-	}
-	vecops.Fill(x, 0)
-	tr.setup()
-
-	st := Stats{RelResidual: 1}
-	for st.Refinements < maxRefinements {
-		if canceled(c, opt.Ctx) {
-			return finish(st, fc, tr), fmt.Errorf("%w during refinement %d", ErrCanceled, st.Refinements+1)
-		}
-		// budget and every residual below derive from Allreduce results, so
-		// all ranks take the same branch at every step.
-		budget := opt.MaxIter - st.Iterations
-		if budget <= 0 {
-			break
-		}
-		vecops.Fill(d, 0)
-		ist, ierr := DistCG(c, aInner, r, d, m, innerOptions(opt, budget, st.RelResidual), fc)
-		st.Iterations += ist.Iterations
-		st.Refinements++
-		// Inner breakdown near the float32 floor is survivable: the partial
-		// correction is folded in and the FP64 recomputation decides whether
-		// to refine again. The breakdown verdict is itself an Allreduce-
-		// derived scalar, so every rank takes this branch identically.
-		innerBroke := errors.Is(ierr, ErrBreakdown)
-		if ierr != nil && !errors.Is(ierr, ErrNoConvergence) && !innerBroke {
-			tr.refine(st.Refinements, ist.Iterations, st.RelResidual)
-			return finish(st, fc, tr), fmt.Errorf("refinement %d inner solve: %w", st.Refinements, ierr)
-		}
-		vecops.Axpy(1, d, x, fc)
-		aOuter.MulVec(c, x, r, scratch, fc)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		fc.Add(int64(nl))
-		prev := st.RelResidual
-		rnorm := distmat.Norm2(c, r, fc)
-		st.RelResidual = rnorm / norm0
-		tr.refine(st.Refinements, ist.Iterations, st.RelResidual)
-		if nonfinite(rnorm) {
-			return finish(st, fc, tr), fmt.Errorf("%w at refinement %d (‖r‖ = %g)", ErrBreakdown, st.Refinements, rnorm)
-		}
-		if st.RelResidual <= opt.Tol {
-			st.Converged = true
-			return finish(st, fc, tr), nil
-		}
-		if st.RelResidual >= prev*refineStallFactor {
-			if innerBroke {
-				return finish(st, fc, tr), fmt.Errorf("%w at refinement %d (inner solve broke down, rel residual %.3e)",
-					ErrBreakdown, st.Refinements, st.RelResidual)
-			}
-			break // float32 floor: no further refinement can reach Tol
-		}
-	}
-	st = finish(st, fc, tr)
-	return st, fmt.Errorf("%w: %d refinements, %d inner iterations, rel residual %.3e",
-		ErrNoConvergence, st.Refinements, st.Iterations, st.RelResidual)
+	bs, err := refine(c, aOuter, b, x, 1, opt, fc, true, func(r, d []float64, in Options) (BatchStats, error) {
+		st, err := DistCG(c, aInner, r, d, m, in, fc)
+		return BatchStats{K: 1, Cols: []Stats{st}, Iterations: st.Iterations, Broken: []bool{errors.Is(err, ErrBreakdown)}}, err
+	})
+	return bs.Cols[0], err
 }
 
 // DistCGBatchRefined is the batched counterpart of DistCGRefined: k systems
@@ -287,81 +219,83 @@ func DistCGBatchRefined(c *simmpi.Comm, aOuter, aInner *distmat.Op, b, x []float
 	if err := checkBatchOptions(k, opt); err != nil {
 		return BatchStats{}, err
 	}
+	return refine(c, aOuter, b, x, k, opt, fc, false, func(r, d []float64, in Options) (BatchStats, error) {
+		return DistCGBatch(c, aInner, r, d, m, k, in, fc)
+	})
+}
+
+// refine is the one distributed FP64 refinement loop over k columns: inner
+// solves the mixed-precision correction systems A·d = r, and the outer
+// step recomputes r = b − A·x with the full-precision aOuter. Every
+// loop-control scalar (inner iteration counts, residual norms, breakdown
+// verdicts) derives from Allreduce results, so all ranks take the same
+// branch at every step.
+func refine(c *simmpi.Comm, aOuter *distmat.Op, b, x []float64, k int, opt Options, fc *vecops.FlopCounter, scalar bool,
+	inner func(r, d []float64, in Options) (BatchStats, error)) (BatchStats, error) {
+	ru := newRun(k, scalar, newTracer(opt.Trace, c), fc, make([]int, k))
 	nl := aOuter.LZ.NLocal()
-	nGlobal := int(c.AllreduceSumInt64(int64(nl))[0])
-	opt = opt.withDefaults(nGlobal)
+	opt = opt.withDefaults(int(c.AllreduceSumInt64(int64(nl))[0]))
 	if len(b) != nl*k || len(x) != nl*k {
-		panic(fmt.Sprintf("krylov: DistCGBatchRefined local block length %d/%d, want %d (k=%d)", len(b), len(x), nl*k, k))
+		panic(fmt.Sprintf("krylov: refined CG local length %d/%d, want %d (k=%d)", len(b), len(x), nl*k, k))
 	}
 	r := make([]float64, nl*k)
 	d := make([]float64, nl*k)
+	norm0, tmp := make([]float64, k), make([]float64, k)
 	scratch := distmat.NewBatchDistVec(aOuter.LZ, k)
 	copy(r, b)
 	vecops.Fill(x, 0)
-
-	bs := BatchStats{K: k, Cols: make([]Stats, k), Broken: make([]bool, k)}
-	norm0 := make([]float64, k)
-	tmp := make([]float64, k)
-	done := make([]bool, k) // no further refinement for this column
-	distmat.DotBatchDist(c, r, r, k, nil, tmp, fc)
-	allDone := true
-	for col := 0; col < k; col++ {
-		norm0[col] = math.Sqrt(tmp[col])
-		if norm0[col] == 0 {
-			bs.Cols[col].Converged = true
-			done[col] = true
-		} else {
-			bs.Cols[col].RelResidual = 1
-			allDone = false
+	distmat.DotBatchDist(c, r, r, k, nil, norm0, fc)
+	for _, col := range ru.sweep() {
+		if norm0[col] = math.Sqrt(norm0[col]); norm0[col] == 0 {
+			ru.bs.Cols[col].Converged = true
+			continue
 		}
+		ru.bs.Cols[col].RelResidual = 1
+		ru.keep(col)
 	}
-	if allDone {
-		return batchResult(bs, 0, nil)
+	if ru.done() {
+		return ru.result(nil)
 	}
+	ru.tr.setup()
 
-	for bs.Refinements < maxRefinements {
+	for ru.bs.Refinements < maxRefinements && !ru.done() {
 		if canceled(c, opt.Ctx) {
-			return batchResult(bs, bs.Iterations, opt.Ctx)
+			return ru.result(fmt.Errorf("%w during refinement %d", ErrCanceled, ru.bs.Refinements+1))
 		}
-		budget := opt.MaxIter - bs.Iterations
+		budget := opt.MaxIter - ru.bs.Iterations
 		if budget <= 0 {
 			break
 		}
 		// Zero finished columns' residuals: the inner solve then freezes
-		// them at setup (zero RHS) and their corrections stay zero.
-		for col := 0; col < k; col++ {
-			if done[col] {
-				for i := 0; i < nl; i++ {
-					r[i*k+col] = 0
-				}
-			}
-		}
-		// The shared inner tolerance must serve the column farthest from the
-		// target: tol/relres is tightest for the largest relres, so the max
-		// over the active columns gives the deepest requirement.
+		// them at setup (zero RHS) and their corrections stay zero. The
+		// shared inner tolerance must serve the column farthest from the
+		// target: tol/relres is tightest for the largest relres.
 		maxRel := 0.0
-		for col := 0; col < k; col++ {
-			if !done[col] && bs.Cols[col].RelResidual > maxRel {
-				maxRel = bs.Cols[col].RelResidual
+		for col, j := 0, 0; col < k; col++ {
+			if j < len(ru.active) && ru.active[j] == col {
+				maxRel = max(maxRel, ru.bs.Cols[col].RelResidual)
+				j++
+				continue
+			}
+			for i := 0; i < nl; i++ {
+				r[i*k+col] = 0
 			}
 		}
 		vecops.Fill(d, 0)
-		ibs, ierr := DistCGBatch(c, aInner, r, d, m, k, innerOptions(opt, budget, maxRel), fc)
-		bs.Iterations += ibs.Iterations
-		bs.Refinements++
-		// A column whose inner solve broke down near the float32 floor keeps
-		// its partial correction and stays live: the FP64 recomputation below
-		// decides whether it converged, refines again, or — if the breakdown
-		// produced no progress — marks it Broken for good.
-		innerBroke := make([]bool, k)
-		for col := 0; col < k; col++ {
-			if !done[col] {
-				bs.Cols[col].Iterations += ibs.Cols[col].Iterations
-				innerBroke[col] = ibs.Broken[col]
-			}
+		ibs, ierr := inner(r, d, innerOptions(opt, budget, maxRel))
+		ru.bs.Iterations += ibs.Iterations
+		ru.bs.Refinements++
+		for _, col := range ru.active {
+			ru.bs.Cols[col].Iterations += ibs.Cols[col].Iterations
 		}
-		if ierr != nil && errors.Is(ierr, ErrCanceled) {
-			return bs, fmt.Errorf("refinement %d inner solve: %w", bs.Refinements, ierr)
+		// An inner breakdown is expected near the float32 floor (the drifted
+		// recurrences go indefinite before the recurrence residual reaches a
+		// target below the floor): the correction accumulated so far is still
+		// valid progress, so it is folded in and the FP64 residual decides.
+		// Only a breakdown that produced no progress marks the column broken.
+		if ierr != nil && !errors.Is(ierr, ErrNoConvergence) && !errors.Is(ierr, ErrBreakdown) {
+			ru.tr.refine(ru.bs.Refinements, ibs.Iterations, ru.bs.Cols[0].RelResidual)
+			return ru.result(fmt.Errorf("refinement %d inner solve: %w", ru.bs.Refinements, ierr))
 		}
 		vecops.Axpy(1, d, x, fc)
 		aOuter.MulMat(c, x, r, k, nil, scratch, fc)
@@ -370,36 +304,25 @@ func DistCGBatchRefined(c *simmpi.Comm, aOuter, aInner *distmat.Op, b, x []float
 		}
 		fc.Add(int64(nl * k))
 		distmat.DotBatchDist(c, r, r, k, nil, tmp, fc)
-		allDone = true
-		for col := 0; col < k; col++ {
-			if done[col] {
-				continue
-			}
-			st := &bs.Cols[col]
+		for _, col := range ru.sweep() {
+			st := &ru.bs.Cols[col]
 			prev := st.RelResidual
 			st.RelResidual = math.Sqrt(tmp[col]) / norm0[col]
-			if nonfinite(tmp[col]) {
-				bs.Broken[col] = true
-				done[col] = true
-				continue
-			}
-			if st.RelResidual <= opt.Tol {
+			ru.tr.refine(ru.bs.Refinements, ibs.Iterations, st.RelResidual)
+			switch {
+			case nonfinite(tmp[col]):
+				ru.broke(col, fmt.Errorf("%w at refinement %d (‖r‖ = %g)", ErrBreakdown, ru.bs.Refinements, math.Sqrt(tmp[col])))
+			case st.RelResidual <= opt.Tol:
 				st.Converged = true
-				done[col] = true
-				continue
+			case st.RelResidual < prev*refineStallFactor:
+				ru.keep(col)
+			case ibs.Broken[col]:
+				ru.broke(col, fmt.Errorf("%w at refinement %d (inner solve broke down, rel residual %.3e)",
+					ErrBreakdown, ru.bs.Refinements, st.RelResidual))
 			}
-			if st.RelResidual >= prev*refineStallFactor {
-				if innerBroke[col] {
-					bs.Broken[col] = true
-				}
-				done[col] = true // float32 floor for this column
-				continue
-			}
-			allDone = false
-		}
-		if allDone {
-			break
+			// Otherwise the column stalled at the float32 floor: no further
+			// refinement can reach Tol.
 		}
 	}
-	return batchResult(bs, 0, nil)
+	return ru.result(nil)
 }

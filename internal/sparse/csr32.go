@@ -119,8 +119,12 @@ func (m *CSR32) MulVecTrans(x, y []float64) {
 // MulMatCols computes the selected interleaved columns of Y = A·X for k
 // columns stored row-major (x[i*k+c] = component i of column c), with
 // float64 accumulation. cols selects the active columns (nil = all),
-// matching CSR.MulMatCols.
+// matching CSR.MulMatCols; an unmasked k = 1 product runs MulVec itself.
 func (m *CSR32) MulMatCols(x, y []float64, k int, cols []int) {
+	if k == 1 && cols == nil {
+		m.MulVec(x, y)
+		return
+	}
 	if len(x) != m.Cols*k || len(y) != m.Rows*k {
 		panic(fmt.Sprintf("sparse: CSR32 MulMatCols shape mismatch: A is %dx%d, k=%d, len(x)=%d, len(y)=%d",
 			m.Rows, m.Cols, k, len(x), len(y)))

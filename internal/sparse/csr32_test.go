@@ -93,24 +93,38 @@ func TestCSR32ProductsMatchWiden(t *testing.T) {
 		}
 	}
 
-	const k = 3
-	xb := make([]float64, n*k)
-	for i := range xb {
-		xb[i] = rng.NormFloat64()
-	}
-	yb32, yb64 := make([]float64, n*k), make([]float64, n*k)
-	for _, cols := range [][]int{nil, {0, 2}} {
-		m.MulMatCols(xb, yb32, k, cols)
-		wide.MulMatCols(xb, yb64, k, cols)
-		active := cols
-		if active == nil {
-			active = []int{0, 1, 2}
+	// k = 1 with no mask runs MulVec itself; mask {0} runs the masked loop.
+	for _, tc := range []struct {
+		k     int
+		masks [][]int
+	}{{3, [][]int{nil, {0, 2}}}, {1, [][]int{nil, {0}}}} {
+		k := tc.k
+		xb := make([]float64, n*k)
+		for i := range xb {
+			xb[i] = rng.NormFloat64()
 		}
-		for i := 0; i < n; i++ {
-			for _, c := range active {
-				if yb32[i*k+c] != yb64[i*k+c] {
-					t.Fatalf("MulMatCols cols=%v y[%d,%d]: %v vs widened %v",
-						cols, i, c, yb32[i*k+c], yb64[i*k+c])
+		yb32, yb64 := make([]float64, n*k), make([]float64, n*k)
+		for _, cols := range tc.masks {
+			m.MulMatCols(xb, yb32, k, cols)
+			wide.MulMatCols(xb, yb64, k, cols)
+			active := cols
+			if active == nil {
+				active = []int{0, 1, 2}[:k]
+			}
+			for i := 0; i < n; i++ {
+				for _, c := range active {
+					if yb32[i*k+c] != yb64[i*k+c] {
+						t.Fatalf("MulMatCols k=%d cols=%v y[%d,%d]: %v vs widened %v",
+							k, cols, i, c, yb32[i*k+c], yb64[i*k+c])
+					}
+				}
+			}
+		}
+		if k == 1 {
+			m.MulVec(xb, y32)
+			for i := range y32 {
+				if yb32[i] != y32[i] {
+					t.Fatalf("MulMatCols k=1 y[%d]: %v vs MulVec %v", i, yb32[i], y32[i])
 				}
 			}
 		}

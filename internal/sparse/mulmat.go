@@ -19,9 +19,13 @@ import (
 
 // MulMat computes Y = A·X for k interleaved vectors: len(x) = Cols·k,
 // len(y) = Rows·k, both row-major (x[i*k+c]). Column c of the result is
-// bit-identical to MulVec on the de-interleaved column c. k = 1 degenerates
-// to MulVec on the same storage.
+// bit-identical to MulVec on the de-interleaved column c. k = 1 runs MulVec
+// itself on the same storage.
 func (m *CSR) MulMat(x, y []float64, k int) {
+	if k == 1 {
+		m.MulVec(x, y)
+		return
+	}
 	checkMulMat(m, x, y, k, "MulMat")
 	for i := 0; i < m.Rows; i++ {
 		acc := y[i*k : (i+1)*k]

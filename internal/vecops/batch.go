@@ -10,7 +10,10 @@ package vecops
 // The cols parameter is the convergence mask of the batched CG loop: a
 // strictly ascending list of still-active column indices in [0, k). Masked
 // (frozen) columns are neither read nor written, so they stop contributing
-// flops the iteration they converge. nil means all columns.
+// flops the iteration they converge. nil means all columns. An unmasked
+// k = 1 call runs the scalar kernel itself — the scalar CG solve is the
+// batched loop at k = 1 — and an unmasked call allocates nothing up to
+// k = 64.
 
 import "fmt"
 
@@ -18,29 +21,21 @@ import "fmt"
 // columns of out untouched. Counts 2·n flops per active column.
 func DotBatch(x, y []float64, k int, cols []int, out []float64, fc *FlopCounter) {
 	n := checkBatch2(x, y, k, out, "DotBatch")
-	if cols == nil {
-		for c := 0; c < k; c++ {
-			out[c] = 0
-		}
-		for i := 0; i < n; i++ {
-			xs, ys := x[i*k:i*k+k], y[i*k:i*k+k]
-			for c := range out[:k] {
-				out[c] += xs[c] * ys[c]
-			}
-		}
-		fc.Add(2 * int64(n) * int64(k))
+	if k == 1 && cols == nil {
+		out[0] = Dot(x, y, fc)
 		return
 	}
-	for _, c := range cols {
+	idx := active(k, cols)
+	for _, c := range idx {
 		out[c] = 0
 	}
 	for i := 0; i < n; i++ {
 		xs, ys := x[i*k:i*k+k], y[i*k:i*k+k]
-		for _, c := range cols {
+		for _, c := range idx {
 			out[c] += xs[c] * ys[c]
 		}
 	}
-	fc.Add(2 * int64(n) * int64(len(cols)))
+	fc.Add(2 * int64(n) * int64(len(idx)))
 }
 
 // Dot2Batch writes outXY[c] = x_cᵀy_c and outZY[c] = z_cᵀy_c for every
@@ -51,10 +46,11 @@ func Dot2Batch(x, y, z []float64, k int, cols []int, outXY, outZY []float64, fc 
 	if len(z) != len(y) || len(outZY) < k {
 		panic(fmt.Sprintf("vecops: Dot2Batch length mismatch z=%d y=%d outZY=%d k=%d", len(z), len(y), len(outZY), k))
 	}
-	idx := cols
-	if idx == nil {
-		idx = allCols(k)
+	if k == 1 && cols == nil {
+		outXY[0], outZY[0] = Dot2(x, y, z, fc)
+		return
 	}
+	idx := active(k, cols)
 	for _, c := range idx {
 		outXY[c] = 0
 		outZY[c] = 0
@@ -73,10 +69,11 @@ func Dot2Batch(x, y, z []float64, k int, cols []int, outXY, outZY []float64, fc 
 // Counts 2·n flops per active column.
 func AxpyBatch(a []float64, x, y []float64, k int, cols []int, fc *FlopCounter) {
 	n := checkBatch2(x, y, k, a, "AxpyBatch")
-	idx := cols
-	if idx == nil {
-		idx = allCols(k)
+	if k == 1 && cols == nil {
+		Axpy(a[0], x, y, fc)
+		return
 	}
+	idx := active(k, cols)
 	for i := 0; i < n; i++ {
 		xs, ys := x[i*k:i*k+k], y[i*k:i*k+k]
 		for _, c := range idx {
@@ -90,10 +87,11 @@ func AxpyBatch(a []float64, x, y []float64, k int, cols []int, fc *FlopCounter) 
 // search-direction update). Counts 2·n flops per active column.
 func XpayBatch(x []float64, a []float64, y []float64, k int, cols []int, fc *FlopCounter) {
 	n := checkBatch2(x, y, k, a, "XpayBatch")
-	idx := cols
-	if idx == nil {
-		idx = allCols(k)
+	if k == 1 && cols == nil {
+		Xpay(x, a[0], y, fc)
+		return
 	}
+	idx := active(k, cols)
 	for i := 0; i < n; i++ {
 		xs, ys := x[i*k:i*k+k], y[i*k:i*k+k]
 		for _, c := range idx {
@@ -118,10 +116,11 @@ func FusedCGUpdateBatch(alpha, beta []float64, u, w, p, s, x, r []float64, k int
 		panic(fmt.Sprintf("vecops: FusedCGUpdateBatch length mismatch %d/%d/%d/%d/%d/%d",
 			len(u), len(w), len(p), len(s), len(x), len(r)))
 	}
-	idx := cols
-	if idx == nil {
-		idx = allCols(k)
+	if k == 1 && cols == nil {
+		rr[0] = FusedCGUpdate(alpha[0], beta[0], u, w, p, s, x, r, fc)
+		return
 	}
+	idx := active(k, cols)
 	for _, c := range idx {
 		rr[c] = 0
 	}
@@ -165,13 +164,28 @@ func UnpackColumn(col []float64, block []float64, k, c int) {
 	}
 }
 
-func allCols(k int) []int {
+// active returns the column list a mask selects: cols itself, or 0..k−1
+// for nil, sliced from a shared read-only table up to its width.
+func active(k int, cols []int) []int {
+	if cols != nil {
+		return cols
+	}
+	if k <= len(allCols) {
+		return allCols[:k]
+	}
 	idx := make([]int, k)
 	for c := range idx {
 		idx[c] = c
 	}
 	return idx
 }
+
+var allCols = func() (idx [64]int) {
+	for c := range idx {
+		idx[c] = c
+	}
+	return idx
+}()
 
 // checkBatch2 validates a pair of equal-length interleaved blocks plus a
 // k-sized scalar slice and returns the per-column length n.
